@@ -11,7 +11,7 @@ The taint engine needs three things the per-file AST linter never did:
   taint propagation cares about.
 
 The IR is deliberately JSON-serializable (nested lists of strings and
-ints) so :mod:`repro.analysis.taintcache` can persist it keyed by
+ints) so :mod:`repro.analysis.cache` can persist it keyed by
 content hash and warm runs skip ``ast`` entirely.
 
 IR expression forms::
@@ -639,6 +639,20 @@ def _extract_nested(func, module: str, cls: str | None,
             out.append(_function_ir(node, module, cls))
 
 
+def receiver_hint(recv, dotted: str) -> str:
+    """Short name of a call's receiver (``self.store.get`` -> ``store``),
+    the duck-typed half of the analyzers' sink/source matching."""
+    if recv is None:
+        return ""
+    if recv[0] == "name":
+        return recv[1]
+    if recv[0] == "attr":
+        return recv[2]
+    if "." in dotted:
+        return dotted.rsplit(".", 2)[-2]
+    return ""
+
+
 # -- the resolved program -----------------------------------------------------
 
 
@@ -741,6 +755,68 @@ class Program:
         """The only definition of *name* across the program, if unique."""
         qnames = self.methods_by_name.get(name, [])
         return qnames[0] if len(qnames) == 1 else None
+
+    def resolve_callee(self, module: str, dotted: str,
+                       var_types: dict[str, tuple],
+                       current_class: str | None, *,
+                       opaque: frozenset,
+                       attr_types: dict | None = None) -> str | None:
+        """Function qname a call site runs, for the whole-program walks.
+
+        :meth:`resolve` first (a class maps to its ``__init__``); then,
+        for ``self.<attr>.<method>``, the attribute's type from
+        *attr_types* (``(module, class, attr) -> (module, class)``);
+        then a unique-name fallback filtered to modules *module*
+        imports (how ``self.verifier.verify`` finds
+        ``Verifier.verify``).  Names in *opaque* never take the
+        fallback.
+        """
+        if not dotted:
+            return None
+        qname = self.resolve(module, dotted, var_types, current_class)
+        if qname is not None:
+            if qname in self.functions:
+                return qname
+            init = f"{qname}.__init__"
+            return init if init in self.functions else None
+        parts = dotted.split(".")
+        if attr_types and len(parts) == 3 and parts[0] == "self" and \
+                current_class:
+            typed = attr_types.get((module, current_class, parts[1]))
+            if typed is not None:
+                resolved = self._method(typed[0], typed[1], parts[2])
+                if resolved is not None:
+                    return resolved
+        short = parts[-1]
+        if short in opaque:
+            return None
+        candidates = self.methods_by_name.get(short, [])
+        if len(candidates) == 1:
+            return candidates[0]
+        if len(candidates) > 1:
+            visible = {module}
+            for full in self.modules.get(module, {}).get(
+                    "imports", {}).values():
+                visible.add(full)
+                visible.add(full.rsplit(".", 1)[0])
+            filtered = [q for q in candidates
+                        if q.split(":", 1)[0] in visible]
+            if len(filtered) == 1:
+                return filtered[0]
+        return None
+
+    def track_type(self, var_types: dict[str, tuple], module: str,
+                   target: str, expr: list) -> None:
+        """Update *var_types* for ``target = expr``: a constructor call
+        types the target, any other non-name value forgets it."""
+        if expr and expr[0] == "call":
+            resolved = self.class_of_constructor(module, expr[1])
+            if resolved is not None:
+                var_types[target] = resolved
+            else:
+                var_types.pop(target, None)
+        elif expr and expr[0] != "name":
+            var_types.pop(target, None)
 
     def class_of_constructor(self, module: str, dotted: str
                              ) -> tuple | None:

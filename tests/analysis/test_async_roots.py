@@ -7,13 +7,14 @@ sanctioned remedy for fsync-bearing paths under async roots."""
 
 import textwrap
 
-from repro.analysis.concurrency import analyze_paths, analyze_source
+from repro.analysis import analyze_paths
+from tests.analysis.helpers import family_findings
 
 SHARED_PATH = "src/repro/perf/cache.py"
 
 
 def conc(snippet: str, path: str = SHARED_PATH):
-    return analyze_source(textwrap.dedent(snippet), path)
+    return family_findings("CON", {path: textwrap.dedent(snippet)})
 
 
 def rule_ids(findings) -> set:

@@ -1,4 +1,4 @@
-"""The ``repro audit`` / ``repro lint`` command-line surface."""
+"""The ``repro audit`` / ``lint`` / ``analyze`` command-line surface."""
 
 import json
 import os
@@ -102,18 +102,18 @@ def test_lint_rules_catalog(capsys):
     assert "SEC001" not in out
 
 
-# -- taint -------------------------------------------------------------------
+# -- analyze (taint + concurrency + lifecycle) -------------------------------
 
 
-def test_taint_repo_passes_with_committed_baseline(tmp_path, capsys):
+def test_analyze_repo_passes_with_committed_baseline(tmp_path, capsys):
     src = os.path.join(REPO_ROOT, "src")
-    baseline = os.path.join(REPO_ROOT, "taint-baseline.json")
+    baseline = os.path.join(REPO_ROOT, "analyze-baseline.json")
     cache = str(tmp_path / "cache.json")
-    assert main(["taint", src, "--baseline", baseline,
+    assert main(["analyze", src, "--baseline", baseline,
                  "--cache", cache]) == 0
     assert "no findings" in capsys.readouterr().out
     # Second invocation hits the run-level cache and agrees.
-    assert main(["taint", src, "--baseline", baseline,
+    assert main(["analyze", src, "--baseline", baseline,
                  "--cache", cache, "-v"]) == 0
     assert "warm" in capsys.readouterr().out
 
@@ -126,32 +126,15 @@ def test_taint_flags_seeded_flow(tmp_path, capsys):
         "def handle(client, interp):\n"
         "    interp.run(parse_element(client.fetch('x')))\n"
     )
-    assert main(["taint", str(bad.parent), "--no-cache"]) == 1
+    assert main(["analyze", str(bad.parent), "--no-cache"]) == 1
     assert "TNT201" in capsys.readouterr().out
 
 
 def test_taint_rules_catalog(capsys):
-    assert main(["taint", "--rules"]) == 0
+    assert main(["analyze", "--rules"]) == 0
     out = capsys.readouterr().out
     assert "TNT201" in out and "TNT204" in out
     assert "SEC001" not in out
-
-
-# -- concurrency -------------------------------------------------------------
-
-
-def test_concurrency_repo_passes_with_committed_baseline(tmp_path,
-                                                         capsys):
-    src = os.path.join(REPO_ROOT, "src")
-    baseline = os.path.join(REPO_ROOT, "concurrency-baseline.json")
-    cache = str(tmp_path / "cache.json")
-    assert main(["concurrency", src, "--baseline", baseline,
-                 "--cache", cache]) == 0
-    assert "no findings" in capsys.readouterr().out
-    # Second invocation hits the run-level cache and agrees.
-    assert main(["concurrency", src, "--baseline", baseline,
-                 "--cache", cache, "-v"]) == 0
-    assert "warm" in capsys.readouterr().out
 
 
 def test_concurrency_flags_seeded_async_blocker(tmp_path, capsys):
@@ -163,32 +146,15 @@ def test_concurrency_flags_seeded_async_blocker(tmp_path, capsys):
         "    time.sleep(1.0)\n"
         "    return request\n"
     )
-    assert main(["concurrency", str(bad.parent), "--no-cache"]) == 1
+    assert main(["analyze", str(bad.parent), "--no-cache"]) == 1
     assert "CON304" in capsys.readouterr().out
 
 
 def test_concurrency_rules_catalog(capsys):
-    assert main(["concurrency", "--rules"]) == 0
+    assert main(["analyze", "--rules"]) == 0
     out = capsys.readouterr().out
     assert "CON301" in out and "CON304" in out
     assert "SEC001" not in out
-
-
-# -- lifecycle ---------------------------------------------------------------
-
-
-def test_lifecycle_repo_passes_with_committed_baseline(tmp_path,
-                                                       capsys):
-    src = os.path.join(REPO_ROOT, "src")
-    baseline = os.path.join(REPO_ROOT, "lifecycle-baseline.json")
-    cache = str(tmp_path / "cache.json")
-    assert main(["lifecycle", src, "--baseline", baseline,
-                 "--cache", cache]) == 0
-    assert "no findings" in capsys.readouterr().out
-    # Second invocation hits the run-level cache and agrees.
-    assert main(["lifecycle", src, "--baseline", baseline,
-                 "--cache", cache, "-v"]) == 0
-    assert "warm" in capsys.readouterr().out
 
 
 def test_lifecycle_flags_seeded_orphan_task(tmp_path, capsys):
@@ -199,7 +165,7 @@ def test_lifecycle_flags_seeded_orphan_task(tmp_path, capsys):
         "async def serve(work):\n"
         "    asyncio.create_task(work())\n"
     )
-    assert main(["lifecycle", str(bad.parent), "--no-cache"]) == 1
+    assert main(["analyze", str(bad.parent), "--no-cache"]) == 1
     assert "LIF401" in capsys.readouterr().out
 
 
@@ -213,12 +179,12 @@ def test_lifecycle_flags_seeded_deadline_drop(tmp_path, capsys):
         "    await channel.clock.wait_until(channel.future,\n"
         "                                   deadline.at)\n"
     )
-    assert main(["lifecycle", str(bad.parent), "--no-cache"]) == 1
+    assert main(["analyze", str(bad.parent), "--no-cache"]) == 1
     assert "LIF404" in capsys.readouterr().out
 
 
 def test_lifecycle_rules_catalog(capsys):
-    assert main(["lifecycle", "--rules"]) == 0
+    assert main(["analyze", "--rules"]) == 0
     out = capsys.readouterr().out
     assert "LIF401" in out and "LIF405" in out
     assert "SEC001" not in out

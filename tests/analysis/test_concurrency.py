@@ -1,22 +1,13 @@
 """Concurrency-engine behaviour: one mini-program per CON rule
 (racy and disciplined variants), root discovery and shared-surface
-gating, the incremental cache, and the clean-repo gate that keeps
-``repro.tools concurrency src`` green."""
+gating, and CON findings through the incremental cache."""
 
-import json
-import os
 import textwrap
 
 import pytest
 
-from repro.analysis import Baseline
-from repro.analysis.conccache import ConcurrencyCache
-from repro.analysis.concurrency import (
-    analyze_modules, analyze_paths, analyze_source,
-)
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
+from repro.analysis import AnalysisCache, analyze_paths
+from tests.analysis.helpers import family_findings
 
 #: fixtures impersonate a shared-surface module; state here is
 #: expected to be visible from many contexts at once.
@@ -24,7 +15,7 @@ SHARED_PATH = "src/repro/perf/cache.py"
 
 
 def conc(snippet: str, path: str = SHARED_PATH):
-    return analyze_source(textwrap.dedent(snippet), path)
+    return family_findings("CON", {path: textwrap.dedent(snippet)})
 
 
 def rule_ids(findings) -> set:
@@ -287,7 +278,7 @@ def test_con304_asyncio_sleep_is_await_friendly():
 
 
 def test_con304_blocking_reached_transitively():
-    findings = analyze_modules({
+    findings = family_findings("CON", {
         "src/repro/xkms/a.py": textwrap.dedent("""
             from repro.xkms.b import fetch_remote
 
@@ -301,7 +292,7 @@ def test_con304_blocking_reached_transitively():
                 time.sleep(0.5)
                 return request
         """),
-    }).findings
+    })
     assert "CON304" in rule_ids(findings)
 
 
@@ -350,7 +341,7 @@ def test_main_thread_writer_of_root_read_state_is_flagged():
 # -- incremental cache -------------------------------------------------------
 
 
-MODULE_A = "def alpha():\n    return 1\n"
+MODULE_A = "import time\n\nasync def alpha():\n    time.sleep(1)\n"
 MODULE_B = "def beta():\n    return 2\n"
 
 
@@ -363,58 +354,24 @@ def tree(tmp_path):
 
 def test_cache_cold_then_memoized_run(tree, tmp_path):
     cache_path = str(tmp_path / "cache.json")
-    cold = ConcurrencyCache(cache_path)
-    analyze_paths([str(tree)], cache=cold)
+    cold = AnalysisCache(cache_path)
+    first = analyze_paths([str(tree)], cache=cold)
     assert not cold.run_hit and cold.misses == 2
+    assert "CON304" in rule_ids(first.findings)
 
-    warm = ConcurrencyCache(cache_path)
+    warm = AnalysisCache(cache_path)
     result = analyze_paths([str(tree)], cache=warm)
     assert warm.run_hit
     assert result.scanned == 2
+    assert result.findings == first.findings
 
 
 def test_cache_invalidates_only_the_changed_module(tree, tmp_path):
     cache_path = str(tmp_path / "cache.json")
-    analyze_paths([str(tree)], cache=ConcurrencyCache(cache_path))
+    analyze_paths([str(tree)], cache=AnalysisCache(cache_path))
 
     (tree / "b.py").write_text(MODULE_B + "\ndef gamma():\n    return 3\n")
-    edited = ConcurrencyCache(cache_path)
+    edited = AnalysisCache(cache_path)
     analyze_paths([str(tree)], cache=edited)
     assert not edited.run_hit
     assert edited.hits == 1 and edited.misses == 1
-
-
-def test_taint_and_concurrency_caches_never_collide(tree, tmp_path):
-    from repro.analysis.taintcache import TaintCache
-
-    taint_path = str(tmp_path / "taint.json")
-    conc_path = str(tmp_path / "conc.json")
-    from repro.analysis.taint import analyze_paths as taint_paths
-    taint_paths([str(tree)], cache=TaintCache(taint_path))
-
-    fresh = ConcurrencyCache(conc_path)
-    analyze_paths([str(tree)], cache=fresh)
-    assert not fresh.run_hit  # separate file, separate spec version
-
-
-# -- clean-repo gate ---------------------------------------------------------
-
-
-def test_repo_concurrency_clean_modulo_baseline():
-    """`repro.tools concurrency src`: nothing above baseline."""
-    src = os.path.join(REPO_ROOT, "src")
-    baseline_path = os.path.join(REPO_ROOT, "concurrency-baseline.json")
-    result = analyze_paths([src])
-    kept = Baseline.load(baseline_path).apply(result)
-    assert kept.findings == [], [f.render() for f in kept.findings]
-    assert kept.scanned > 100
-
-
-def test_concurrency_baseline_is_wellformed_and_justified():
-    with open(os.path.join(REPO_ROOT, "concurrency-baseline.json"),
-              encoding="utf-8") as handle:
-        payload = json.load(handle)
-    assert payload["version"] == 1
-    for entry in payload["findings"]:
-        assert entry["fingerprint"]
-        assert entry["justification"]

@@ -101,6 +101,22 @@ def test_baseline_round_trip(tmp_path):
     assert [f.message for f in result.suppressed] == ["boom"]
 
 
+def test_baseline_update_keeps_surviving_justifications(tmp_path):
+    path = tmp_path / "baseline.json"
+    Baseline().save(str(path), [finding(), finding(message="fixed")])
+    payload = json.loads(path.read_text())
+    for entry in payload["findings"]:
+        entry["justification"] = f"why {entry['message']}"
+    path.write_text(json.dumps(payload))
+
+    Baseline().save(str(path), [finding(), finding(message="new")])
+    entries = {entry["message"]: entry
+               for entry in json.loads(path.read_text())["findings"]}
+    assert sorted(entries) == ["boom", "new"]
+    assert entries["boom"]["justification"] == "why boom"
+    assert "justification" not in entries["new"]
+
+
 def test_baseline_rejects_unknown_version(tmp_path):
     path = tmp_path / "baseline.json"
     path.write_text(json.dumps({"version": 99, "findings": []}))

@@ -1,27 +1,21 @@
 """Lifecycle-engine behaviour: one mini-program per LIF rule (leaky
 and disciplined variants), the deadline-propagation proof over the
-real service chain, the incremental cache (including the IR-version
-cold-start contract shared by all three call-graph analyzers), and
-the clean-repo gate that keeps ``repro.tools lifecycle src`` green."""
+real service chain, and LIF findings through the incremental cache."""
 
-import json
 import os
 import textwrap
 
 import pytest
 
-from repro.analysis import Baseline
-from repro.analysis.lifecache import LifecycleCache
-from repro.analysis.lifecycle import (
-    analyze_modules, analyze_paths, analyze_source,
-)
+from repro.analysis import AnalysisCache, analyze_paths
+from tests.analysis.helpers import family_findings
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 
 def life(snippet: str, path: str = "src/repro/example.py"):
-    return analyze_source(textwrap.dedent(snippet), path)
+    return family_findings("LIF", {path: textwrap.dedent(snippet)})
 
 
 def rule_ids(findings) -> set:
@@ -251,7 +245,7 @@ def test_lif404_keyword_threading_is_clean():
 
 
 def test_lif404_crosses_module_boundaries():
-    findings = analyze_modules({
+    findings = family_findings("LIF", {
         "src/repro/alpha.py": textwrap.dedent("""
         from repro.beta import exchange
 
@@ -263,7 +257,7 @@ def test_lif404_crosses_module_boundaries():
             await channel.clock.wait_until(channel.future,
                                            deadline.at)
         """),
-    }).findings
+    })
     assert rule_ids(findings) == {"LIF404"}
     assert findings[0].location == "src/repro/alpha.py"
 
@@ -411,7 +405,8 @@ def test_lif405_returned_channel_escapes_ownership():
 # -- incremental cache -------------------------------------------------------
 
 
-MODULE_A = "def alpha():\n    return 1\n"
+MODULE_A = ("import asyncio\n\nasync def alpha(work):\n"
+            "    asyncio.create_task(work())\n")
 MODULE_B = "def beta():\n    return 2\n"
 
 
@@ -424,91 +419,24 @@ def tree(tmp_path):
 
 def test_cache_cold_then_memoized_run(tree, tmp_path):
     cache_path = str(tmp_path / "cache.json")
-    cold = LifecycleCache(cache_path)
-    analyze_paths([str(tree)], cache=cold)
+    cold = AnalysisCache(cache_path)
+    first = analyze_paths([str(tree)], cache=cold)
     assert not cold.run_hit and cold.misses == 2
+    assert "LIF401" in rule_ids(first.findings)
 
-    warm = LifecycleCache(cache_path)
+    warm = AnalysisCache(cache_path)
     result = analyze_paths([str(tree)], cache=warm)
     assert warm.run_hit
     assert result.scanned == 2
+    assert result.findings == first.findings
 
 
 def test_cache_invalidates_only_the_changed_module(tree, tmp_path):
     cache_path = str(tmp_path / "cache.json")
-    analyze_paths([str(tree)], cache=LifecycleCache(cache_path))
+    analyze_paths([str(tree)], cache=AnalysisCache(cache_path))
 
     (tree / "b.py").write_text(MODULE_B + "\ndef gamma():\n    return 3\n")
-    edited = LifecycleCache(cache_path)
+    edited = AnalysisCache(cache_path)
     analyze_paths([str(tree)], cache=edited)
     assert not edited.run_hit
     assert edited.hits == 1 and edited.misses == 1
-
-
-def test_lifecycle_and_concurrency_caches_never_collide(tree, tmp_path):
-    from repro.analysis.conccache import ConcurrencyCache
-    from repro.analysis.concurrency import analyze_paths as conc_paths
-
-    conc_path = str(tmp_path / "conc.json")
-    life_path = str(tmp_path / "life.json")
-    conc_paths([str(tree)], cache=ConcurrencyCache(conc_path))
-
-    fresh = LifecycleCache(life_path)
-    analyze_paths([str(tree)], cache=fresh)
-    assert not fresh.run_hit  # separate file, separate spec version
-
-
-def test_ir_version_bump_cold_starts_every_analyzer_cache_once(
-        tree, tmp_path):
-    """A callgraph IR bump (e.g. v3 -> v4) must cold-start the taint,
-    concurrency and lifecycle caches exactly once each: the stale file
-    is discarded at load, and the very next run is warm again."""
-    from repro.analysis.conccache import ConcurrencyCache
-    from repro.analysis.concurrency import analyze_paths as conc_paths
-    from repro.analysis.taint import analyze_paths as taint_paths
-    from repro.analysis.taintcache import TaintCache
-
-    cases = [
-        (TaintCache, taint_paths, str(tmp_path / "taint.json")),
-        (ConcurrencyCache, conc_paths, str(tmp_path / "conc.json")),
-        (LifecycleCache, analyze_paths, str(tmp_path / "life.json")),
-    ]
-    for cache_cls, run, cache_path in cases:
-        run([str(tree)], cache=cache_cls(cache_path))
-        with open(cache_path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        payload["ir_version"] -= 1  # pretend it predates the bump
-        with open(cache_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-
-        stale = cache_cls(cache_path)
-        run([str(tree)], cache=stale)
-        assert not stale.run_hit, cache_cls.__name__
-        assert stale.misses == 2, cache_cls.__name__  # full cold start
-
-        fresh = cache_cls(cache_path)
-        run([str(tree)], cache=fresh)
-        assert fresh.run_hit, cache_cls.__name__  # cold exactly once
-
-
-# -- clean-repo gate ---------------------------------------------------------
-
-
-def test_repo_lifecycle_clean_modulo_baseline():
-    """`repro.tools lifecycle src`: nothing above baseline."""
-    src = os.path.join(REPO_ROOT, "src")
-    baseline_path = os.path.join(REPO_ROOT, "lifecycle-baseline.json")
-    result = analyze_paths([src])
-    kept = Baseline.load(baseline_path).apply(result)
-    assert kept.findings == [], [f.render() for f in kept.findings]
-    assert kept.scanned > 100
-
-
-def test_lifecycle_baseline_is_wellformed_and_justified():
-    with open(os.path.join(REPO_ROOT, "lifecycle-baseline.json"),
-              encoding="utf-8") as handle:
-        payload = json.load(handle)
-    assert payload["version"] == 1
-    for entry in payload["findings"]:
-        assert entry["fingerprint"]
-        assert entry["justification"]

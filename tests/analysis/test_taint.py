@@ -1,22 +1,13 @@
 """Taint-engine behaviour: one mini-program per TNT rule (violating
-and sanitized variants), propagation mechanics, and the clean-repo
-gate that keeps ``repro.tools taint src`` green."""
+and sanitized variants) and propagation mechanics."""
 
-import json
-import os
 import textwrap
 
-import pytest
-
-from repro.analysis import Baseline, analyze_modules, analyze_source
-from repro.analysis.taint import analyze_paths
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
+from tests.analysis.helpers import family_findings
 
 
 def taint(snippet: str, path: str = "src/repro/network/example.py"):
-    return analyze_source(textwrap.dedent(snippet), path)
+    return family_findings("TNT", {path: textwrap.dedent(snippet)})
 
 
 def rule_ids(findings) -> set:
@@ -55,7 +46,7 @@ def test_tnt201_clean_after_verification():
 
 
 def test_tnt201_flows_across_modules_with_trace():
-    findings = analyze_modules({
+    findings = family_findings("TNT", {
         "src/repro/network/a.py": textwrap.dedent("""
             from repro.network.b import stage_two
 
@@ -72,7 +63,7 @@ def test_tnt201_flows_across_modules_with_trace():
             def run_it(doc, interp):
                 interp.run(doc)
         """),
-    }).findings
+    })
     assert "TNT201" in rule_ids(findings)
     trace = next(f for f in findings if f.rule_id == "TNT201").detail
     assert "entry" in trace and "->" in trace
@@ -115,7 +106,7 @@ def test_trusted_wrapper_result_is_verified():
     """
     # open_package is only trusted under its resolved qualified name,
     # so mimic the real module layout.
-    findings = analyze_modules({
+    findings = family_findings("TNT", {
         "src/repro/core/playback_pipeline.py": textwrap.dedent("""
             class PlaybackPipeline:
                 def open_package(self, data):
@@ -129,7 +120,7 @@ def test_trusted_wrapper_result_is_verified():
                 application = pipeline.open_package(data)
                 engine.execute(application)
         """),
-    }).findings
+    })
     assert "TNT202" not in rule_ids(findings)
 
 
@@ -316,26 +307,3 @@ def test_untrusted_path_parse_is_source_only_there():
     assert "TNT201" in rule_ids(taint(
         snippet, "src/repro/network/example.py"))
     assert taint(snippet, "src/repro/disc/manifest_builder.py") == []
-
-
-# -- clean-repo gate --------------------------------------------------------
-
-
-def test_repo_taints_clean_modulo_baseline():
-    """`repro.tools taint src` on this repo: nothing above baseline."""
-    src = os.path.join(REPO_ROOT, "src")
-    baseline_path = os.path.join(REPO_ROOT, "taint-baseline.json")
-    result = analyze_paths([src])
-    kept = Baseline.load(baseline_path).apply(result)
-    assert kept.findings == [], [f.render() for f in kept.findings]
-    assert kept.scanned > 100
-
-
-def test_taint_baseline_is_wellformed_and_justified():
-    with open(os.path.join(REPO_ROOT, "taint-baseline.json"),
-              encoding="utf-8") as handle:
-        payload = json.load(handle)
-    assert payload["version"] == 1
-    for entry in payload["findings"]:
-        assert entry["fingerprint"]
-        assert entry["justification"]
