@@ -15,6 +15,10 @@ TLS-RSA handshake over a :class:`repro.network.channel.Channel`:
 5. application records are AES-CBC, encrypt-then-MAC, with sequence
    numbers (replay/reorder detection).
 
+The handshake is written once, as a sans-I/O core (``_handshake``);
+:func:`establish` and :func:`establish_async` only carry its flights
+over a sync or async channel (DESIGN §14).
+
 As the paper notes, TLS protects data *in transit only* — the
 persistent-protection argument for XML security (§4) is demonstrated by
 tests that show TLS-delivered content carries no protection at rest.
@@ -37,6 +41,7 @@ from repro.primitives.provider import CryptoProvider, get_provider
 from repro.primitives.random import RandomSource, default_random
 from repro.network.channel import Channel
 from repro.resilience.limits import ResourceGuard
+from repro.resilience.retry import _aguarded, _guarded
 from repro.xmlcore import element, parse_element, serialize_bytes
 
 _NONCE = 32
@@ -190,33 +195,19 @@ class SecureClient:
         self.now = now
 
 
-def establish(client: SecureClient, server: SecureServer,
-              channel: Channel, *,
-              retry_policy=None) -> tuple[SecureSession, SecureSession]:
-    """Run the handshake over *channel*.
+# -- the handshake core (no I/O) ------------------------------------------------
 
-    Returns ``(client_session, server_session)``.
+_TO_SERVER = "to-server"
+_TO_CLIENT = "to-client"
 
-    With a *retry_policy* (:class:`repro.resilience.RetryPolicy`), a
-    handshake torn down by a transient fault — dropped flight,
-    truncated record, tampering detected in the Finished exchange — is
-    restarted from ClientHello under the policy's backoff/deadline
-    budget.  Nonces and keys are fresh on every attempt.
 
-    Raises:
-        ChannelSecurityError: when certificate validation fails or the
-            transcript was tampered with in transit.
+def _handshake(client: SecureClient, server: SecureServer):
+    """Both endpoints of the five-flight handshake, with no I/O.
+
+    Yields ``(direction, message)`` per flight and must be sent the
+    bytes that came off the wire; returns ``(client_session,
+    server_session)`` or raises :class:`ChannelSecurityError`.
     """
-    if retry_policy is not None:
-        return retry_policy.execute(
-            lambda: _establish_once(client, server, channel),
-            describe="secure handshake",
-        )
-    return _establish_once(client, server, channel)
-
-
-def _establish_once(client: SecureClient, server: SecureServer,
-                    channel: Channel) -> tuple[SecureSession, SecureSession]:
     provider = client.provider
     transcript_client: list[bytes] = []
     transcript_server: list[bytes] = []
@@ -225,7 +216,7 @@ def _establish_once(client: SecureClient, server: SecureServer,
     client_nonce = client.rng.read(_NONCE)
     m1 = _frame(MSG_CLIENT_HELLO, client_nonce)
     transcript_client.append(m1)
-    m1_wire = channel.transfer(m1)
+    m1_wire = yield _TO_SERVER, m1
     transcript_server.append(m1_wire)
     server_view_client_nonce = _unframe(m1_wire, MSG_CLIENT_HELLO)
 
@@ -235,9 +226,11 @@ def _establish_once(client: SecureClient, server: SecureServer,
     m2 = _frame(MSG_SERVER_HELLO,
                 server_nonce + struct.pack(">I", len(chain_xml)) + chain_xml)
     transcript_server.append(m2)
-    m2_wire = channel.transfer(m2)
+    m2_wire = yield _TO_CLIENT, m2
     transcript_client.append(m2_wire)
     payload = _unframe(m2_wire, MSG_SERVER_HELLO)
+    if len(payload) < _NONCE + 4:
+        raise ChannelSecurityError("truncated ServerHello")
     client_view_server_nonce = payload[:_NONCE]
     (chain_len,) = struct.unpack_from(">I", payload, _NONCE)
     try:
@@ -261,7 +254,7 @@ def _establish_once(client: SecureClient, server: SecureServer,
                             client.rng)
     m3 = _frame(MSG_KEY_EXCHANGE, encrypted)
     transcript_client.append(m3)
-    m3_wire = channel.transfer(m3)
+    m3_wire = yield _TO_SERVER, m3
     transcript_server.append(m3_wire)
     try:
         server_premaster = rsa.decrypt(
@@ -288,7 +281,7 @@ def _establish_once(client: SecureClient, server: SecureServer,
     client_fin = provider.hmac(
         "sha256", premaster, b"finished:" + b"".join(transcript_client),
     )
-    fin_wire = channel.transfer(client_session.seal(client_fin))
+    fin_wire = yield _TO_SERVER, client_session.seal(client_fin)
     server_expected = server.provider.hmac(
         "sha256", server_premaster,
         b"finished:" + b"".join(transcript_server),
@@ -302,7 +295,7 @@ def _establish_once(client: SecureClient, server: SecureServer,
         "sha256", server_premaster,
         b"server-finished:" + b"".join(transcript_server),
     )
-    fin2_wire = channel.transfer(server_session.seal(server_fin))
+    fin2_wire = yield _TO_CLIENT, server_session.seal(server_fin)
     client_expected = provider.hmac(
         "sha256", premaster, b"server-finished:" + b"".join(transcript_client),
     )
@@ -314,6 +307,42 @@ def _establish_once(client: SecureClient, server: SecureServer,
     return client_session, server_session
 
 
+# -- sync driver ------------------------------------------------------------------
+
+
+def establish(client: SecureClient, server: SecureServer,
+              channel: Channel, *,
+              retry_policy=None) -> tuple[SecureSession, SecureSession]:
+    """Run the handshake over *channel*.
+
+    Returns ``(client_session, server_session)``.
+
+    With a *retry_policy* (:class:`repro.resilience.RetryPolicy`), a
+    handshake torn down by a transient fault — dropped flight,
+    truncated record, tampering detected in the Finished exchange — is
+    restarted from ClientHello under the policy's backoff/deadline
+    budget.  Nonces and keys are fresh on every attempt.
+
+    Raises:
+        ChannelSecurityError: when certificate validation fails or the
+            transcript was tampered with in transit.
+    """
+    return _guarded(lambda: _establish_once(client, server, channel),
+                    retry_policy, None, "secure handshake")
+
+
+def _establish_once(client: SecureClient, server: SecureServer,
+                    channel: Channel) -> tuple[SecureSession, SecureSession]:
+    core = _handshake(client, server)
+    wire = None
+    while True:
+        try:
+            _direction, message = core.send(wire)
+        except StopIteration as done:
+            return done.value
+        wire = channel.transfer(message)
+
+
 def secure_transfer(client: SecureClient, server: SecureServer,
                     channel: Channel, payload: bytes) -> bytes:
     """Handshake + one protected round trip; returns what the server got."""
@@ -322,7 +351,7 @@ def secure_transfer(client: SecureClient, server: SecureServer,
     return server_session.open(wire)
 
 
-# -- async handshake ------------------------------------------------------------
+# -- async driver -----------------------------------------------------------------
 
 
 async def _flight(sender, receiver, message: bytes, at: float, clock):
@@ -354,121 +383,23 @@ async def establish_async(client: SecureClient, server: SecureServer,
     handshakes restart from ClientHello (fresh nonces every attempt)
     under the policy's backoff/deadline budget.
     """
-    if retry_policy is not None:
-        return await retry_policy.execute_async(
-            lambda: _establish_once_async(client, server, channel,
-                                          timeout_s),
-            describe="secure handshake",
-        )
-    return await _establish_once_async(client, server, channel,
-                                       timeout_s)
+    return await _aguarded(
+        lambda: _establish_once_async(client, server, channel, timeout_s),
+        retry_policy, None, "secure handshake")
 
 
 async def _establish_once_async(client: SecureClient,
                                 server: SecureServer, channel,
                                 timeout_s: float):
-    provider = client.provider
     clock = channel.clock
     deadline_at = clock.now() + timeout_s
-    transcript_client: list[bytes] = []
-    transcript_server: list[bytes] = []
-    to_server = (channel.client, channel.server)
-    to_client = (channel.server, channel.client)
-
-    # 1. ClientHello --------------------------------------------------------------
-    client_nonce = client.rng.read(_NONCE)
-    m1 = _frame(MSG_CLIENT_HELLO, client_nonce)
-    transcript_client.append(m1)
-    m1_wire = await _flight(*to_server, m1, deadline_at, clock)
-    transcript_server.append(m1_wire)
-    server_view_client_nonce = _unframe(m1_wire, MSG_CLIENT_HELLO)
-
-    # 2. ServerHello with certificate chain ----------------------------------------
-    server_nonce = server.rng.read(_NONCE)
-    chain_xml = _chain_to_xml(server.identity.chain)
-    m2 = _frame(MSG_SERVER_HELLO,
-                server_nonce + struct.pack(">I", len(chain_xml)) +
-                chain_xml)
-    transcript_server.append(m2)
-    m2_wire = await _flight(*to_client, m2, deadline_at, clock)
-    transcript_client.append(m2_wire)
-    payload = _unframe(m2_wire, MSG_SERVER_HELLO)
-    client_view_server_nonce = payload[:_NONCE]
-    (chain_len,) = struct.unpack_from(">I", payload, _NONCE)
-    try:
-        chain = _chain_from_xml(
-            payload[_NONCE + 4:_NONCE + 4 + chain_len])
-    except Exception as exc:
-        raise ChannelSecurityError(
-            f"server certificate chain unreadable: {exc}"
-        ) from exc
-
-    # 3. Chain validation (player refuses untrusted servers) -------------------------
-    validation = client.trust_store.validate_chain(chain, now=client.now)
-    if not validation.valid:
-        raise ChannelSecurityError(
-            f"server certificate rejected: {validation.reason}"
-        )
-    server_certificate = chain[0]
-
-    # 4. Key exchange ---------------------------------------------------------------
-    premaster = client.rng.read(_PREMASTER)
-    encrypted = rsa.encrypt(server_certificate.public_key, premaster,
-                            client.rng)
-    m3 = _frame(MSG_KEY_EXCHANGE, encrypted)
-    transcript_client.append(m3)
-    m3_wire = await _flight(*to_server, m3, deadline_at, clock)
-    transcript_server.append(m3_wire)
-    try:
-        server_premaster = rsa.decrypt(
-            server.identity.key, _unframe(m3_wire, MSG_KEY_EXCHANGE),
-        )
-    except Exception as exc:
-        raise ChannelSecurityError(
-            f"key exchange failed: {exc}"
-        ) from exc
-
-    # 5. Key derivation (both sides, from their own view) ------------------------------
-    client_c2s, client_s2c = _kdf(provider, premaster, client_nonce,
-                                  client_view_server_nonce)
-    server_c2s, server_s2c = _kdf(provider, server_premaster,
-                                  server_view_client_nonce, server_nonce)
-
-    client_session = SecureSession(client_c2s, client_s2c, provider,
-                                   client.rng,
-                                   peer_certificate=server_certificate)
-    server_session = SecureSession(server_s2c, server_c2s,
-                                   server.provider, server.rng)
-
-    # 6. Finished exchange: MAC the transcript both ways --------------------------------
-    client_fin = provider.hmac(
-        "sha256", premaster, b"finished:" + b"".join(transcript_client),
-    )
-    fin_wire = await _flight(*to_server, client_session.seal(client_fin),
-                             deadline_at, clock)
-    server_expected = server.provider.hmac(
-        "sha256", server_premaster,
-        b"finished:" + b"".join(transcript_server),
-    )
-    if not constant_time_equal(server_session.open(fin_wire),
-                               server_expected):
-        raise ChannelSecurityError(
-            "handshake transcript mismatch: tampering detected"
-        )
-    server_fin = server.provider.hmac(
-        "sha256", server_premaster,
-        b"server-finished:" + b"".join(transcript_server),
-    )
-    fin2_wire = await _flight(*to_client,
-                              server_session.seal(server_fin),
-                              deadline_at, clock)
-    client_expected = provider.hmac(
-        "sha256", premaster,
-        b"server-finished:" + b"".join(transcript_client),
-    )
-    if not constant_time_equal(client_session.open(fin2_wire),
-                               client_expected):
-        raise ChannelSecurityError(
-            "handshake transcript mismatch: tampering detected"
-        )
-    return client_session, server_session
+    ends = {_TO_SERVER: (channel.client, channel.server),
+            _TO_CLIENT: (channel.server, channel.client)}
+    core = _handshake(client, server)
+    wire = None
+    while True:
+        try:
+            direction, message = core.send(wire)
+        except StopIteration as done:
+            return done.value
+        wire = await _flight(*ends[direction], message, deadline_at, clock)

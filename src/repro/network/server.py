@@ -23,7 +23,7 @@ from repro.certs.store import TrustStore
 from repro.network.channel import AsyncChannel, Channel
 from repro.network.secure import SecureClient, SecureServer, establish
 from repro.resilience.limits import ResourceGuard, ResourceLimits
-from repro.resilience.retry import CircuitBreaker, RetryPolicy
+from repro.resilience.retry import CircuitBreaker, RetryPolicy, _guarded
 from repro.resilience.service import Deadline, OverloadShield
 from repro.resilience.vclock import NO_DEADLINE
 
@@ -174,16 +174,6 @@ class DownloadClient:
     circuit_breaker: CircuitBreaker | None = None
     limits: ResourceLimits = field(default_factory=ResourceLimits.default)
 
-    def _execute(self, operation, describe: str) -> bytes:
-        if self.retry_policy is not None:
-            return self.retry_policy.execute(
-                operation, breaker=self.circuit_breaker,
-                describe=describe,
-            )
-        if self.circuit_breaker is not None:
-            return self.circuit_breaker.call(operation)
-        return operation()
-
     def _roundtrip_plain(self, request: bytes) -> bytes:
         wire_request = self.channel.transfer(request)
         response = self.server.handle(wire_request)
@@ -218,9 +208,9 @@ class DownloadClient:
         request = _encode(_REQ, path.encode("utf-8"))
         roundtrip = self._roundtrip_secure if secure \
             else self._roundtrip_plain
-        return self._execute(
+        return _guarded(
             lambda: self._parse_response(roundtrip(request)),
-            describe=f"fetch {path}",
+            self.retry_policy, self.circuit_breaker, f"fetch {path}",
         )
 
     def call(self, service: str, payload: str, *,
@@ -230,9 +220,9 @@ class DownloadClient:
                           payload.encode("utf-8"))
         roundtrip = self._roundtrip_secure if secure \
             else self._roundtrip_plain
-        return self._execute(
+        return _guarded(
             lambda: self._parse_response(roundtrip(request)),
-            describe=f"call {service}",
+            self.retry_policy, self.circuit_breaker, f"call {service}",
         ).decode("utf-8")
 
 

@@ -10,6 +10,11 @@ half-opens after a cool-down to probe for recovery.
 All timing runs on a pluggable clock (see
 :mod:`repro.resilience.clock`), so tests execute second-scale backoff
 schedules instantly and deterministically.
+
+The decisions are written once, with no I/O (DESIGN §14):
+``_settle`` turns any call's outcome into breaker state and
+``RetryPolicy._attempts`` runs one retry loop's bookkeeping, so the
+sync and async drivers only call the operation and sleep.
 """
 
 from __future__ import annotations
@@ -130,14 +135,62 @@ class CircuitBreaker:
         self.before_call()
         try:
             result = operation()
-        except NetworkError:
-            self.record_failure()
+        except BaseException as exc:
+            _settle(self, exc)
             raise
-        except BaseException:
-            self.abandon_probe()
-            raise
-        self.record_success()
+        _settle(self, None)
         return result
+
+
+def _settle(breaker: CircuitBreaker | None, error: BaseException | None,
+            retryable: tuple = (NetworkError,)) -> bool:
+    """Record one finished call on *breaker*; is *error* retryable?
+
+    Success (*error* is ``None``) closes the circuit and a *retryable*
+    failure counts against the service.  A nested policy's or
+    breaker's verdict (:data:`NON_RETRYABLE`) or any other exception
+    says nothing about the service, so it only releases a probe.
+    """
+    retry = error is not None and isinstance(error, retryable) \
+        and not isinstance(error, NON_RETRYABLE)
+    if breaker is not None:
+        if error is None:
+            breaker.record_success()
+        elif retry:
+            breaker.record_failure()
+        else:
+            breaker.abandon_probe()
+    return retry
+
+
+def _guarded(operation: Callable, policy: "RetryPolicy | None",
+             breaker: CircuitBreaker | None, describe: str):
+    """Run one client call under an optional policy and breaker."""
+    if policy is not None:
+        return policy.execute(operation, breaker=breaker,
+                              describe=describe)
+    if breaker is not None:
+        return breaker.call(operation)
+    return operation()
+
+
+async def _aguarded(operation: Callable, policy: "RetryPolicy | None",
+                    breaker: CircuitBreaker | None, describe: str,
+                    until: float | None = None):
+    """:func:`_guarded` for coroutine operations."""
+    if policy is not None:
+        return await policy.execute_async(
+            operation, breaker=breaker, describe=describe, until=until)
+    if breaker is None:
+        return await operation()
+    breaker.before_call()
+    try:
+        result = await operation()
+    except BaseException as exc:
+        _settle(breaker, exc)
+        raise
+    _settle(breaker, None)
+    return result
 
 
 @dataclass
@@ -186,75 +239,6 @@ class RetryPolicy:
         return [self.backoff(attempt, rng)
                 for attempt in range(1, self.max_attempts)]
 
-    def _check_entry(self, until: float | None, attempts: int,
-                     start: float, describe: str) -> None:
-        """An attempt must not start past the propagated deadline."""
-        if until is not None and self.clock.now() >= until:
-            raise TimeoutError(
-                f"{describe}: deadline expired before attempt "
-                f"{attempts + 1}",
-                attempts=attempts,
-                elapsed=self.clock.now() - start,
-            )
-
-    def _settle_attempt(self, breaker: CircuitBreaker | None,
-                        attempts: int, start: float, describe: str,
-                        attempt_start: float):
-        """Post-success bookkeeping: ``(keep_result, timeout_error)``."""
-        took = self.clock.now() - attempt_start
-        if self.attempt_timeout is not None \
-                and took > self.attempt_timeout:
-            # The caller would have hung up before the answer
-            # arrived: discard it and count a timeout.
-            error = TimeoutError(
-                f"{describe}: attempt {attempts} took {took:g}s "
-                f"(timeout {self.attempt_timeout:g}s)",
-                attempts=attempts,
-                elapsed=self.clock.now() - start,
-            )
-            if breaker is not None:
-                breaker.record_failure()
-            return False, error
-        if breaker is not None:
-            breaker.record_success()
-        return True, None
-
-    def _next_delay(self, attempts: int, rng: random.Random,
-                    start: float, until: float | None, describe: str,
-                    last_error: BaseException | None) -> float:
-        """The next backoff, clipped against every remaining budget.
-
-        A backoff that would sleep the remaining deadline dry buys
-        nothing — there is no room left for the attempt it precedes —
-        so the policy fails *before* sleeping instead of waking up at
-        (or past) the deadline just to fail then.
-        """
-        delay = self.backoff(attempts, rng)
-        now = self.clock.now()
-        budgets = []
-        if self.deadline is not None:
-            budgets.append(start + self.deadline - now)
-        if until is not None:
-            budgets.append(until - now)
-        if budgets and delay >= min(budgets):
-            raise RetryExhaustedError(
-                f"{describe}: retry deadline exhausted after "
-                f"{attempts} attempt(s): {last_error}",
-                attempts=attempts, elapsed=now - start,
-                last_error=last_error,
-            )
-        return delay
-
-    def _exhausted(self, attempts: int, start: float, describe: str,
-                   last_error: BaseException | None) -> RetryExhaustedError:
-        elapsed = self.clock.now() - start
-        cause = f": {last_error}" if last_error is not None else ""
-        return RetryExhaustedError(
-            f"{describe}: gave up after {attempts} attempt(s) "
-            f"in {elapsed:g}s{cause}",
-            attempts=attempts, elapsed=elapsed, last_error=last_error,
-        )
-
     def execute(self, operation: Callable, *,
                 breaker: CircuitBreaker | None = None,
                 describe: str = "operation",
@@ -272,44 +256,94 @@ class RetryPolicy:
             TimeoutError: *until* passed before an attempt could start.
             CircuitOpenError: *breaker* is open (short-circuited).
         """
+        core = self._attempts(breaker, describe, until)
+        next(core)
+        while True:
+            try:
+                result = operation()
+            except BaseException as exc:
+                delay = core.send(exc)
+                if delay is None:
+                    raise
+            else:
+                delay = core.send(None)
+                if delay is None:
+                    return result
+            self.clock.sleep(delay)
+            next(core)
+
+    def _attempts(self, breaker: CircuitBreaker | None, describe: str,
+                  until: float | None):
+        """The retry core: one run's decisions, with no I/O.
+
+        A generator.  ``next()`` gates an attempt (attempt budget,
+        propagated deadline, breaker) and raises if it may not start.
+        The driver then sends the attempt's outcome — the exception it
+        raised, or ``None`` — and gets back ``None`` when the run ends
+        there (re-raise, or return the answer) or else the backoff to
+        sleep before the next ``next()``.  A send raises the terminal
+        error instead once no attempt is left to run.
+        """
         rng = random.Random(self.seed)
         start = self.clock.now()
         attempts = 0
         last_error: BaseException | None = None
         while attempts < self.max_attempts:
-            self._check_entry(until, attempts, start, describe)
+            if until is not None and self.clock.now() >= until:
+                raise TimeoutError(
+                    f"{describe}: deadline expired before attempt "
+                    f"{attempts + 1}",
+                    attempts=attempts, elapsed=self.clock.now() - start,
+                )
             if breaker is not None:
                 breaker.before_call()
             attempts += 1
             attempt_start = self.clock.now()
-            try:
-                result = operation()
-            except NON_RETRYABLE:
-                if breaker is not None:
-                    breaker.abandon_probe()
-                raise
-            except self.retryable as exc:
-                last_error = exc
-                if breaker is not None:
-                    breaker.record_failure()
-            except BaseException:
-                # Not a service-health signal: a half-open probe that
-                # dies here must not leave the breaker stuck.
-                if breaker is not None:
-                    breaker.abandon_probe()
-                raise
-            else:
-                keep, timeout = self._settle_attempt(
-                    breaker, attempts, start, describe, attempt_start)
-                if keep:
-                    return result
-                last_error = timeout
+            outcome = yield
+            now = self.clock.now()
+            took = now - attempt_start
+            retryable = self.retryable
+            if outcome is None and self.attempt_timeout is not None \
+                    and took > self.attempt_timeout:
+                # The caller would have hung up before the answer
+                # arrived: discard it and count a timeout.
+                outcome = TimeoutError(
+                    f"{describe}: attempt {attempts} took {took:g}s "
+                    f"(timeout {self.attempt_timeout:g}s)",
+                    attempts=attempts, elapsed=now - start,
+                )
+                retryable = (TimeoutError,)
+            if not _settle(breaker, outcome, retryable):
+                yield None  # the run ends on this attempt's outcome
+                return
+            last_error = outcome
             if attempts >= self.max_attempts:
                 break
-            delay = self._next_delay(attempts, rng, start, until,
-                                     describe, last_error)
-            self.clock.sleep(delay)
-        raise self._exhausted(attempts, start, describe, last_error)
+            # A backoff that would sleep the remaining deadline dry
+            # buys nothing — there is no room left for the attempt it
+            # precedes — so fail *before* sleeping instead of waking
+            # up at (or past) the deadline just to fail then.
+            delay = self.backoff(attempts, rng)
+            budgets = []
+            if self.deadline is not None:
+                budgets.append(start + self.deadline - now)
+            if until is not None:
+                budgets.append(until - now)
+            if budgets and delay >= min(budgets):
+                raise RetryExhaustedError(
+                    f"{describe}: retry deadline exhausted after "
+                    f"{attempts} attempt(s): {last_error}",
+                    attempts=attempts, elapsed=now - start,
+                    last_error=last_error,
+                )
+            yield delay
+        elapsed = self.clock.now() - start
+        cause = f": {last_error}" if last_error is not None else ""
+        raise RetryExhaustedError(
+            f"{describe}: gave up after {attempts} attempt(s) "
+            f"in {elapsed:g}s{cause}",
+            attempts=attempts, elapsed=elapsed, last_error=last_error,
+        )
 
     async def _asleep(self, seconds: float) -> None:
         asleep = getattr(self.clock, "asleep", None)
@@ -329,39 +363,18 @@ class RetryPolicy:
         sessions on the event loop keep running while this one backs
         off.
         """
-        rng = random.Random(self.seed)
-        start = self.clock.now()
-        attempts = 0
-        last_error: BaseException | None = None
-        while attempts < self.max_attempts:
-            self._check_entry(until, attempts, start, describe)
-            if breaker is not None:
-                breaker.before_call()
-            attempts += 1
-            attempt_start = self.clock.now()
+        core = self._attempts(breaker, describe, until)
+        next(core)
+        while True:
             try:
                 result = await operation()
-            except NON_RETRYABLE:
-                if breaker is not None:
-                    breaker.abandon_probe()
-                raise
-            except self.retryable as exc:
-                last_error = exc
-                if breaker is not None:
-                    breaker.record_failure()
-            except BaseException:
-                if breaker is not None:
-                    breaker.abandon_probe()
-                raise
+            except BaseException as exc:
+                delay = core.send(exc)
+                if delay is None:
+                    raise
             else:
-                keep, timeout = self._settle_attempt(
-                    breaker, attempts, start, describe, attempt_start)
-                if keep:
+                delay = core.send(None)
+                if delay is None:
                     return result
-                last_error = timeout
-            if attempts >= self.max_attempts:
-                break
-            delay = self._next_delay(attempts, rng, start, until,
-                                     describe, last_error)
             await self._asleep(delay)
-        raise self._exhausted(attempts, start, describe, last_error)
+            next(core)

@@ -3,6 +3,11 @@
 The client speaks XML to any transport: a callable
 ``request_xml -> result_xml`` — in-process server, the simulated
 network service, or a TLS-like secure channel.
+
+The exchange is written once, with no I/O (DESIGN §14): request
+builders, the checked result decode and the answer mappings are shared
+by :class:`XKMSClient` and :class:`AsyncXKMSClient`, which only move
+the XML.
 """
 
 from __future__ import annotations
@@ -11,12 +16,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import (
-    NetworkError, ResourceLimitExceeded, ServiceOverloadError,
-    XKMSError, XMLError,
+    ResourceLimitExceeded, ServiceOverloadError, XKMSError, XMLError,
 )
 from repro.primitives.keys import RSAPublicKey
 from repro.resilience.limits import ResourceGuard, ResourceLimits
-from repro.resilience.retry import CircuitBreaker, RetryPolicy
+from repro.resilience.retry import (
+    CircuitBreaker, RetryPolicy, _aguarded, _guarded,
+)
 from repro.resilience.service import Deadline
 from repro.xkms.messages import (
     STATUS_VALID, KeyBinding, XKMSRequest, XKMSResult,
@@ -29,6 +35,69 @@ Transport = Callable[[str], str]
 #: deadline travels with the request so the far side can stop working
 #: on it the moment the caller stops caring.
 AsyncTransport = Callable[..., object]
+
+
+# -- the exchange core (no I/O) ---------------------------------------------------
+
+
+def _locate_request(key_name: str) -> XKMSRequest:
+    return XKMSRequest("Locate", key_name=key_name)
+
+
+def _validate_request(key_name: str,
+                      key: RSAPublicKey | None) -> XKMSRequest:
+    binding = (KeyBinding(key_name, key) if key is not None else None)
+    return XKMSRequest("Validate", key_name=key_name, binding=binding)
+
+
+def _register_request(key_name: str, key: RSAPublicKey, secret: bytes,
+                      use: str) -> XKMSRequest:
+    return XKMSRequest("Register", binding=KeyBinding(key_name, key, use=use),
+                       authentication=authentication_proof(secret, key_name))
+
+
+def _revoke_request(key_name: str, secret: bytes) -> XKMSRequest:
+    return XKMSRequest("Revoke", key_name=key_name,
+                       authentication=authentication_proof(secret, key_name))
+
+
+def _checked_result(request: XKMSRequest, response_xml: str,
+                    limits: ResourceLimits) -> XKMSResult:
+    """Decode the untrusted answer to *request* under *limits*.
+
+    Raises:
+        XKMSError: the result XML is malformed or over quota, or it
+            does not answer *request*.
+    """
+    try:
+        result = XKMSResult.from_xml(
+            response_xml, guard=ResourceGuard(limits),
+        )
+    except (XMLError, ResourceLimitExceeded) as exc:
+        raise XKMSError(
+            f"XKMS {request.operation} result is unusable: {exc}"
+        ) from exc
+    # A result without a request id is as unanswerable as one with
+    # the wrong id — accepting it would let any stale or substituted
+    # response satisfy our request.
+    if result.request_id != request.request_id:
+        raise XKMSError(
+            "XKMS result does not answer our request "
+            f"({result.request_id!r} != {request.request_id!r})"
+        )
+    return result
+
+
+def _located_key(result: XKMSResult) -> RSAPublicKey | None:
+    if not result.success or not result.bindings:
+        return None
+    return result.bindings[0].key
+
+
+def _is_valid(result: XKMSResult) -> bool:
+    if not result.success or not result.bindings:
+        return False
+    return result.bindings[0].status == STATUS_VALID
 
 
 @dataclass
@@ -49,77 +118,34 @@ class XKMSClient:
     circuit_breaker: CircuitBreaker | None = None
     limits: ResourceLimits = field(default_factory=ResourceLimits.default)
 
-    def _transfer(self, request_xml: str, operation: str) -> str:
-        if self.retry_policy is not None:
-            return self.retry_policy.execute(
-                lambda: self.transport(request_xml),
-                breaker=self.circuit_breaker,
-                describe=f"XKMS {operation}",
-            )
-        if self.circuit_breaker is not None:
-            return self.circuit_breaker.call(
-                lambda: self.transport(request_xml)
-            )
-        return self.transport(request_xml)
-
     def _roundtrip(self, request: XKMSRequest) -> XKMSResult:
-        response_xml = self._transfer(request.to_xml(), request.operation)
-        try:
-            result = XKMSResult.from_xml(
-                response_xml, guard=ResourceGuard(self.limits),
-            )
-        except (XMLError, ResourceLimitExceeded) as exc:
-            raise XKMSError(
-                f"XKMS {request.operation} result is unusable: {exc}"
-            ) from exc
-        # A result without a request id is as unanswerable as one with
-        # the wrong id — accepting it would let any stale or substituted
-        # response satisfy our request.
-        if result.request_id != request.request_id:
-            raise XKMSError(
-                "XKMS result does not answer our request "
-                f"({result.request_id!r} != {request.request_id!r})"
-            )
-        return result
+        request_xml = request.to_xml()
+        response_xml = _guarded(lambda: self.transport(request_xml),
+                                self.retry_policy, self.circuit_breaker,
+                                f"XKMS {request.operation}")
+        return _checked_result(request, response_xml, self.limits)
 
     def locate(self, key_name: str) -> RSAPublicKey | None:
         """Find the public key bound to *key_name* (``None`` if absent).
 
         Suitable as a :class:`repro.dsig.Verifier` ``key_locator``.
         """
-        result = self._roundtrip(XKMSRequest("Locate", key_name=key_name))
-        if not result.success or not result.bindings:
-            return None
-        return result.bindings[0].key
+        return _located_key(self._roundtrip(_locate_request(key_name)))
 
     def validate(self, key_name: str,
                  key: RSAPublicKey | None = None) -> bool:
         """True iff the binding exists and is currently Valid."""
-        binding = (KeyBinding(key_name, key) if key is not None else None)
-        result = self._roundtrip(XKMSRequest(
-            "Validate", key_name=key_name, binding=binding,
-        ))
-        if not result.success or not result.bindings:
-            return False
-        return result.bindings[0].status == STATUS_VALID
+        return _is_valid(self._roundtrip(_validate_request(key_name, key)))
 
     def register(self, key_name: str, key: RSAPublicKey,
                  secret: bytes, use: str = "signature") -> XKMSResult:
         """Register a binding, proving authorization with *secret*."""
-        request = XKMSRequest(
-            "Register",
-            binding=KeyBinding(key_name, key, use=use),
-            authentication=authentication_proof(secret, key_name),
-        )
-        return self._roundtrip(request)
+        return self._roundtrip(
+            _register_request(key_name, key, secret, use))
 
     def revoke(self, key_name: str, secret: bytes) -> XKMSResult:
         """Revoke a binding."""
-        request = XKMSRequest(
-            "Revoke", key_name=key_name,
-            authentication=authentication_proof(secret, key_name),
-        )
-        return self._roundtrip(request)
+        return self._roundtrip(_revoke_request(key_name, secret))
 
 
 class MuxXKMSTransport:
@@ -201,83 +227,38 @@ class AsyncXKMSClient:
 
     async def _transfer(self, request_xml: str, operation: str,
                         deadline: Deadline) -> str:
-        if self.retry_policy is not None:
-            return await self.retry_policy.execute_async(
-                lambda: self.transport(
-                    request_xml, self._attempt_deadline(deadline)),
-                breaker=self.circuit_breaker,
-                describe=f"XKMS {operation}",
-                until=deadline.at,
-            )
-        breaker = self.circuit_breaker
-        if breaker is not None:
-            breaker.before_call()
-            try:
-                result = await self.transport(request_xml, deadline)
-            except NetworkError:
-                breaker.record_failure()
-                raise
-            except BaseException:
-                breaker.abandon_probe()
-                raise
-            breaker.record_success()
-            return result
-        return await self.transport(request_xml, deadline)
+        return await _aguarded(
+            lambda: self.transport(
+                request_xml, self._attempt_deadline(deadline)),
+            self.retry_policy, self.circuit_breaker,
+            f"XKMS {operation}", until=deadline.at,
+        )
 
     async def _roundtrip(self, request: XKMSRequest,
                          deadline: Deadline) -> XKMSResult:
         response_xml = await self._transfer(
             request.to_xml(), request.operation, deadline)
-        try:
-            result = XKMSResult.from_xml(
-                response_xml, guard=ResourceGuard(self.limits),
-            )
-        except (XMLError, ResourceLimitExceeded) as exc:
-            raise XKMSError(
-                f"XKMS {request.operation} result is unusable: {exc}"
-            ) from exc
-        if result.request_id != request.request_id:
-            raise XKMSError(
-                "XKMS result does not answer our request "
-                f"({result.request_id!r} != {request.request_id!r})"
-            )
-        return result
+        return _checked_result(request, response_xml, self.limits)
 
     async def locate(self, key_name: str, *,
                      timeout_s: float | None = None):
-        result = await self._roundtrip(
-            XKMSRequest("Locate", key_name=key_name),
-            self.deadline(timeout_s),
-        )
-        if not result.success or not result.bindings:
-            return None
-        return result.bindings[0].key
+        return _located_key(await self._roundtrip(
+            _locate_request(key_name), self.deadline(timeout_s)))
 
     async def validate(self, key_name: str,
                        key: RSAPublicKey | None = None, *,
                        timeout_s: float | None = None) -> bool:
-        binding = (KeyBinding(key_name, key) if key is not None else None)
-        result = await self._roundtrip(XKMSRequest(
-            "Validate", key_name=key_name, binding=binding,
-        ), self.deadline(timeout_s))
-        if not result.success or not result.bindings:
-            return False
-        return result.bindings[0].status == STATUS_VALID
+        return _is_valid(await self._roundtrip(
+            _validate_request(key_name, key), self.deadline(timeout_s)))
 
     async def register(self, key_name: str, key: RSAPublicKey,
                        secret: bytes, use: str = "signature", *,
                        timeout_s: float | None = None) -> XKMSResult:
-        request = XKMSRequest(
-            "Register",
-            binding=KeyBinding(key_name, key, use=use),
-            authentication=authentication_proof(secret, key_name),
-        )
-        return await self._roundtrip(request, self.deadline(timeout_s))
+        return await self._roundtrip(
+            _register_request(key_name, key, secret, use),
+            self.deadline(timeout_s))
 
     async def revoke(self, key_name: str, secret: bytes, *,
                      timeout_s: float | None = None) -> XKMSResult:
-        request = XKMSRequest(
-            "Revoke", key_name=key_name,
-            authentication=authentication_proof(secret, key_name),
-        )
-        return await self._roundtrip(request, self.deadline(timeout_s))
+        return await self._roundtrip(
+            _revoke_request(key_name, secret), self.deadline(timeout_s))

@@ -34,6 +34,10 @@ from repro.xkms.messages import (
 from repro.xmlcore import parse_element, serialize
 
 
+#: The answer to request XML that does not decode.
+_SENDER_FAULT_XML = XKMSResult("Status", RESULT_SENDER_FAULT).to_xml()
+
+
 def authentication_proof(secret: bytes, key_name: str) -> str:
     """Compute the X-KRSS authentication value for *key_name*."""
     return hmac_sha256(secret, key_name.encode("utf-8")).hex()
@@ -170,9 +174,20 @@ class TrustServer:
         failure result (``Sender`` fault), and internal failures as a
         ``Receiver`` fault.
         """
-        guard = ResourceGuard(self.limits)
+        request = self._decode_request(request_xml, self.limits)
+        if request is None:
+            return _SENDER_FAULT_XML
         try:
-            request = XKMSRequest.from_xml(request_xml, guard=guard)
+            return self.handle(request).to_xml()
+        except XKMSError as exc:
+            return self._receiver_fault(request, exc).to_xml()
+
+    def _decode_request(self, request_xml: str | bytes,
+                       limits: ResourceLimits) -> XKMSRequest | None:
+        """Guarded decode; ``None`` means answer a ``Sender`` fault."""
+        try:
+            return XKMSRequest.from_xml(request_xml,
+                                        guard=ResourceGuard(limits))
         except (XMLError, XKMSError, ResourceLimitExceeded) as exc:
             # Audit the exception *type* only: the message text can
             # quote attacker bytes or (for crypto failures) values
@@ -180,22 +195,16 @@ class TrustServer:
             # by operators outside the crypto layer (TNT203).
             with self._lock:
                 self.audit_log.append(
-                    f"malformed-request:{type(exc).__name__}"
-                )
-            return XKMSResult(
-                "Status", RESULT_SENDER_FAULT,
-            ).to_xml()
-        try:
-            return self.handle(request).to_xml()
-        except XKMSError as exc:
-            with self._lock:
-                self.audit_log.append(
-                    f"request-failed:{type(exc).__name__}"
-                )
-            return XKMSResult(
-                request.operation, RESULT_RECEIVER_FAULT,
-                request_id=request.request_id,
-            ).to_xml()
+                    f"malformed-request:{type(exc).__name__}")
+            return None
+
+    def _receiver_fault(self, request: XKMSRequest,
+                       exc: XKMSError) -> XKMSResult:
+        """Audit a responder-side failure; answer a ``Receiver`` fault."""
+        with self._lock:
+            self.audit_log.append(f"request-failed:{type(exc).__name__}")
+        return XKMSResult(request.operation, RESULT_RECEIVER_FAULT,
+                          request_id=request.request_id)
 
     # -- operations ---------------------------------------------------------------------
 
@@ -250,14 +259,10 @@ class TrustServer:
         if not self._check_authentication(request):
             return XKMSResult("Register", RESULT_REFUSED,
                               request_id=request.request_id)
-        binding = KeyBinding(
+        binding = self.register_binding(
             request.binding.key_name, request.binding.key,
-            STATUS_VALID, request.binding.use,
+            request.binding.use,
         )
-        self._persist_binding(binding)
-        with self._lock:
-            self._bindings[binding.key_name] = binding
-            self.generation += 1
         return XKMSResult("Register", RESULT_SUCCESS, [binding],
                           request_id=request.request_id)
 
@@ -269,11 +274,6 @@ class TrustServer:
         if binding is None:
             return XKMSResult("Revoke", RESULT_NO_MATCH,
                               request_id=request.request_id)
-        revoked = KeyBinding(binding.key_name, binding.key,
-                             STATUS_INVALID, binding.use)
-        self._persist_binding(revoked)
-        with self._lock:
-            binding.status = STATUS_INVALID
-            self.generation += 1
+        self.revoke_binding(binding.key_name)
         return XKMSResult("Revoke", RESULT_SUCCESS, [binding],
                           request_id=request.request_id)
