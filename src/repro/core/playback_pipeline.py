@@ -8,7 +8,9 @@ Order of operations on reception:
    ``dcrpt:Except`` ones), so sign-then-encrypt packages validate;
 3. if the player's policy requires a trusted signer and verification
    fails, the application is **barred** (Fig 3);
-4. **decrypt** everything decryptable for execution;
+4. **decrypt** everything decryptable for execution — regions the
+   Decryption Transform already recovered are reused, not decrypted
+   again (one ``Decryptor`` per open);
 5. evaluate the permission request file against the platform policy —
    trust-gated permissions are only granted to verified applications.
 """
@@ -217,9 +219,14 @@ class PlaybackPipeline:
                 "unsigned application barred by player policy"
             )
 
-        # Unlock for execution.  A decrypt bomb (plaintext quota or
-        # expansion-ratio trip) bars the package like any other
-        # resource attack — with the decision on the degradation log.
+        # Unlock for execution.  The decryptor memoised every region
+        # the Decryption Transform recovered, so those are spliced in
+        # as copies of the verified plaintext; only the rest (the
+        # ``dcrpt:Except`` regions, or every region of an unsigned
+        # package) is decrypted here.  A decrypt bomb
+        # (plaintext quota or expansion-ratio trip) bars the package
+        # like any other resource attack — with the decision on the
+        # degradation log.
         try:
             decryptor.decrypt_in_place(view.root)
         except ResourceLimitExceeded as exc:

@@ -13,10 +13,12 @@ Two providers ship with the library:
   semantics.
 * ``"accelerated"`` — :class:`AcceleratedProvider`, which delegates
   digests/HMAC to :mod:`hashlib` and AES plus the RSA sign/verify
-  primitives to the ``cryptography`` package when importable (RSA
-  encrypt/decrypt stay pure: those paths take an injected RNG for
-  deterministic tests).  Registered only when its backends import
-  cleanly.
+  primitives to the ``cryptography`` package when importable.  RSA
+  encryption stays pure because it takes an injected RNG for
+  deterministic tests; RSA decryption stays pure because the native
+  PKCS#1 v1.5 decrypt does implicit rejection (see
+  :class:`AcceleratedProvider`).  Registered only when its backends
+  import cleanly.
 
 Selection is threaded end-to-end: the ``REPRO_PROVIDER`` environment
 variable picks the process-wide default at import time (``pure``,
@@ -187,9 +189,15 @@ class AcceleratedProvider(PurePythonProvider):
 
     Digests and HMAC ride :mod:`hashlib`; AES and the RSA signature
     primitives ride ``cryptography`` (PKCS#1 v1.5 with ``Prehashed``,
-    bit-identical to the pure encoding).  RSA encrypt/decrypt stay
-    pure so the injected-RNG determinism of the XMLEnc tests holds
-    under every provider.  Raises :class:`ProviderError` at
+    bit-identical to the pure encoding).  RSA encryption stays pure
+    so the injected-RNG determinism of the XMLEnc tests holds under
+    every provider.  RSA decryption stays pure for a different
+    reason: on current OpenSSL the native PKCS#1 v1.5 decrypt does
+    implicit rejection, returning random octets instead of raising
+    when the block was made for another key.  ``Decryptor`` finds the
+    device key for a transported CEK by trying each key until one
+    raises no :class:`~repro.errors.DecryptionError`, so a wrong key
+    must fail loudly.  Raises :class:`ProviderError` at
     construction when the native backends are unavailable, so the
     registry can skip registration.
     """

@@ -4,6 +4,12 @@ The player "decrypts the application and resources on execution" (§4);
 this class resolves the needed keys (named key slots, unwrap of
 transported CEKs, RSA key transport), decrypts EncryptedData, and —
 for XML targets — splices the recovered markup back into the tree.
+
+Each XML-typed EncryptedData is decrypted once per ``Decryptor``: the
+nodes recovered by the verifier's Decryption Transform are memoised
+and the execution unlock splices copies of them, so a package opened
+by :class:`~repro.core.playback_pipeline.PlaybackPipeline` pays one
+RSA unwrap, one AES pass and one parse per region.
 """
 
 from __future__ import annotations
@@ -41,6 +47,18 @@ class Decryptor:
             decrypt bomb (tiny package, huge or deeply nested
             plaintext) trips a typed limit instead of exhausting the
             device.
+
+    Decrypt once: :meth:`decrypt_nodes` memoises the nodes it recovers
+    from an XML-typed EncryptedData whose ciphertext is embedded,
+    keyed on everything that decides the plaintext — the algorithm,
+    the Type, the key source (``ds:KeyName``, or the EncryptedKey's
+    algorithm, CipherValue and KeyName) and the ciphertext octets.  A
+    repeat decrypts nothing and charges nothing: it returns fresh
+    copies, so no two callers share a node and the executed plaintext
+    is the one that was verified.  The memo lives as long as the
+    decryptor (one package open in the playback pipeline); ``add_key``
+    and ``add_rsa_key`` clear it, and a call with an explicit ``key``
+    or a CipherReference bypasses it.
     """
 
     def __init__(self, keys: dict[str, SymmetricKey | bytes] | None = None,
@@ -49,6 +67,9 @@ class Decryptor:
                  provider: CryptoProvider | None = None,
                  guard=None):
         self._keys: dict[str, SymmetricKey] = {}
+        # Decrypt-once memo: plaintext-deciding inputs -> recovered
+        # nodes, which are never handed out themselves (see class doc).
+        self._recovered: dict[tuple, list[Node]] = {}
         for name, key in (keys or {}).items():
             self.add_key(name, key)
         self._rsa_keys = list(rsa_keys or [])
@@ -72,9 +93,11 @@ class Decryptor:
         if isinstance(key, bytes):
             key = SymmetricKey(key, "aes")
         self._keys[name] = key
+        self._recovered.clear()
 
     def add_rsa_key(self, key: RSAPrivateKey) -> None:
         self._rsa_keys.append(key)
+        self._recovered.clear()
 
     # -- key resolution --------------------------------------------------------------
 
@@ -162,43 +185,68 @@ class Decryptor:
             self.guard.charge_decrypt_output(len(plaintext), len(ciphertext))
         return plaintext
 
+    @staticmethod
+    def _memo_key(data: EncryptedData) -> tuple | None:
+        """Everything that decides *data*'s plaintext, or ``None`` when
+        the ciphertext is detached (a CipherReference is not memoised)."""
+        if data.cipher_value is None:
+            return None
+        transported = data.encrypted_key
+        return (
+            data.algorithm, data.data_type, data.key_name,
+            None if transported is None else (
+                transported.algorithm, transported.cipher_value,
+                transported.key_name,
+            ),
+            data.cipher_value,
+        )
+
     def decrypt_nodes(self, node: Element, key=None) -> list[Node]:
         """Decrypt an EncryptedData *element* back into XML nodes.
 
         For ``Type=Element`` the single recovered element is returned;
         for ``Type=Content`` the recovered child nodes.  Raises for
-        non-XML types.
+        non-XML types.  Without an explicit *key* a repeat of an
+        already-recovered EncryptedData returns copies from the memo.
         """
-        from repro.errors import XMLError
         data = EncryptedData.from_element(node)
+        memo_key = self._memo_key(data) if key is None else None
+        recovered = self._recovered.get(memo_key)  # None is never stored
+        if recovered is None:
+            recovered = self._recover(data, key)
+            if memo_key is not None:
+                self._recovered[memo_key] = recovered
+        elif self.guard is not None:
+            self.guard.check_deadline()
+        return [child.copy() for child in recovered]
+
+    def _recover(self, data: EncryptedData, key) -> list[Node]:
+        """Decrypt and parse *data*; the returned nodes are the memo's
+        own and are only ever handed out as copies."""
+        from repro.errors import XMLError
         plaintext = self.decrypt_to_bytes(data, key)
+        if data.data_type not in (algorithms.TYPE_ELEMENT,
+                                  algorithms.TYPE_CONTENT):
+            raise DecryptionError(
+                f"EncryptedData type {data.data_type!r} is not XML"
+            )
         # XMLEnc padding only inspects one octet, so a wrong key can slip
         # through to the parser; surface garbage plaintext as a
         # decryption failure rather than a syntax error.
+        try:
+            recovered = parse_element(plaintext, guard=self.guard)
+        except XMLError as exc:
+            raise DecryptionError(
+                f"decrypted plaintext is not well-formed XML "
+                f"(wrong key or tampered ciphertext): {exc}"
+            ) from None
         if data.data_type == algorithms.TYPE_ELEMENT:
-            try:
-                return [parse_element(plaintext, guard=self.guard)]
-            except XMLError as exc:
-                raise DecryptionError(
-                    f"decrypted plaintext is not well-formed XML "
-                    f"(wrong key or tampered ciphertext): {exc}"
-                ) from None
-        if data.data_type == algorithms.TYPE_CONTENT:
-            try:
-                wrapper = parse_element(plaintext, guard=self.guard)
-            except XMLError as exc:
-                raise DecryptionError(
-                    f"decrypted plaintext is not well-formed XML "
-                    f"(wrong key or tampered ciphertext): {exc}"
-                ) from None
-            if wrapper.local != CONTENT_WRAPPER:
-                raise EncryptedDataFormatError(
-                    "content ciphertext lacks the content wrapper"
-                )
-            return [child.copy() for child in wrapper.children]
-        raise DecryptionError(
-            f"EncryptedData type {data.data_type!r} is not XML"
-        )
+            return [recovered]
+        if recovered.local != CONTENT_WRAPPER:
+            raise EncryptedDataFormatError(
+                "content ciphertext lacks the content wrapper"
+            )
+        return list(recovered.children)
 
     def decrypt_element(self, node: Element, key=None) -> list[Node]:
         """Decrypt *node* and splice the plaintext nodes into its place.

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.errors import CryptoError
+from repro.errors import CryptoError, DecryptionError
 from repro.primitives.keys import RSAPrivateKey
 from repro.primitives.provider import (
     available_providers, get_provider, set_default_provider,
@@ -120,6 +120,23 @@ def test_rsa_sign_without_crt_factors_falls_back(keypair):
         no_crt, digest, "sha256"
     )
     assert accel.rsa_verify_digest(public, digest, signature, "sha256")
+
+
+@accelerated_only
+def test_rsa_decrypt_wrong_key_raises(keypair):
+    """The accelerated provider keeps the pure RSA decrypt: a block made
+    for another key must raise, where the native decrypt's implicit
+    rejection would hand back random octets."""
+    private, _ = keypair
+    other = generate_keypair(
+        bits=1024, rng=DeterministicRandomSource(b"provider-other-key"))
+    accel = get_provider("accelerated")
+    ciphertext = accel.rsa_encrypt(
+        other.public_key(), b"content-key-16oc",
+        DeterministicRandomSource(b"provider-rsa-pad"))
+    with pytest.raises(DecryptionError):
+        accel.rsa_decrypt(private, ciphertext)
+    assert accel.rsa_decrypt(other, ciphertext) == b"content-key-16oc"
 
 
 def test_env_override_selects_provider():
