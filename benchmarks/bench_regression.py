@@ -64,8 +64,9 @@ DIRECTIONS = {
     # (1.0 = free; the acceptance envelope is <= 1.05 on the committing
     # machine, gated here at baseline * (1 + threshold) for CI noise)
     "guard_overhead_ratio": "lower",
-    # ABL-ANALYSIS: the whole-repo analysis pipeline (one IR extraction,
-    # then the TNT2xx, CON3xx and LIF4xx engines); the warm ratio is the
+    # ABL-ANALYSIS: the whole-repo analysis pipeline (one parse per
+    # module: the LIN1xx rules and one IR extraction on that tree, then
+    # the TNT2xx, CON3xx and LIF4xx engines); the warm ratio is the
     # whole point of the content-hash cache (an unchanged tree must be
     # near-free), so a ratio drift is a cache regression
     "analysis_cold_norm": "lower",
@@ -246,17 +247,20 @@ def run_benchmarks() -> dict:
         raise SystemExit("audit bench workload lost its signatures")
     audit_time = measure(audit_once, warmup=1, repeat=5)
 
-    # ABL-ANALYSIS: the whole-repo analysis pipeline, cold vs. content-hash
-    # warm, plus each engine's seconds over one shared program (ungated;
-    # they say where a cold-run drift comes from).
+    # ABL-ANALYSIS: the whole-repo analysis pipeline (one parse per
+    # module, the LIN1xx rules on that tree, then the TNT/CON/LIF
+    # engines), cold vs. content-hash warm, plus the lint pass's and
+    # each engine's seconds over one shared parse (ungated; they say
+    # where a cold-run drift comes from).
+    import ast
     import shutil
     import tempfile
 
     from repro.analysis import AnalysisCache, analyze_paths
-    from repro.analysis.astlint import _iter_py_files
+    from repro.analysis.astlint import lint_module
     from repro.analysis.callgraph import Program, extract_module
     from repro.analysis.findings import display_path
-    from repro.analysis.pipeline import ENGINES
+    from repro.analysis.pipeline import ENGINES, iter_py_files
 
     src_root = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -283,13 +287,20 @@ def run_benchmarks() -> dict:
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
-    infos = []
-    for target in _iter_py_files([src_root]):
-        with open(target, encoding="utf-8") as handle:
-            infos.append(extract_module(handle.read(), display_path(target)))
+    trees = []
+    for target in iter_py_files([src_root]):
+        with open(target, "rb") as handle:
+            trees.append((display_path(target), ast.parse(handle.read())))
+    infos = [extract_module(tree, path) for path, tree in trees]
     program = Program(infos)
     module_paths = {info["module"]: info["path"] for info in infos}
-    engine_seconds = {}
+    engine_seconds = {
+        "lint_pass": measure(
+            lambda: [lint_module(tree, path) for path, tree in trees],
+            warmup=0,
+            repeat=1,
+        ),
+    }
     for engine in ENGINES:
         name = engine.__name__.removesuffix("Engine").lower() + "_engine"
         engine_seconds[name] = measure(

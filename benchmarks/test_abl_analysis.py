@@ -1,10 +1,11 @@
 """ABL-ANALYSIS — analysis-pipeline throughput, cold vs. content-hash warm.
 
-The pipeline (one IR extraction, then the TNT2xx, CON3xx and LIF4xx
-engines over one program) runs as a pre-commit/CI gate over the whole
-tree, so two costs matter: the cold run (every module extracted and
-every engine run) and the warm path, where the content-hash cache must
-make an unchanged tree near-free.  The regression gate in
+The pipeline (one parse per module, the LIN1xx rules and one IR
+extraction on that tree, then the TNT2xx, CON3xx and LIF4xx engines
+over one program) runs as a pre-commit/CI gate over the whole tree, so
+two costs matter: the cold run (every module parsed, linted and
+extracted, every engine run) and the warm path, where the content-hash
+cache must make an unchanged tree near-free.  The regression gate in
 ``bench_regression.py`` tracks the normalized cold time
 (``analysis_cold_norm``) and the warm/cold ratio
 (``analysis_warm_ratio``).
@@ -52,7 +53,8 @@ def test_abl_analysis(tmp_path):
 
     report("ABL-ANALYSIS", [
         f"modules analyzed: {result.scanned}",
-        f"cold run (extract + three engines): {cold_time * 1000:.1f} ms",
+        f"cold run (parse, lint, extract, three engines): "
+        f"{cold_time * 1000:.1f} ms",
         f"warm (run-level cache hit): {warm_time * 1000:.1f} ms",
         f"warm/cold ratio: {ratio:.3f}",
     ])

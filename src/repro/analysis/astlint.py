@@ -29,17 +29,31 @@ Machine-checks the contracts the test suite can only spot-check:
 Rules are heuristic by design: they pattern-match the shapes this
 codebase actually uses, and anything legitimately outside a rule goes
 in the committed baseline file rather than weakening the rule.
+
+Every rule looks at one module only: the analysis pipeline runs
+:func:`lint_module` on the tree it lowers to the call-graph IR, and
+caches the findings next to that IR.  All rules share one traversal.
 """
 
 from __future__ import annotations
 
 import ast
-import builtins as _builtins
 import os
+from dataclasses import dataclass, field
 
+from repro.analysis.callgraph import BUILTIN_EXCEPTIONS, dotted_name
 from repro.analysis.engine import register
-from repro.analysis.findings import AnalysisResult, Severity, display_path
+from repro.analysis.findings import Severity
 
+#: Bump when a rule changes what it reports; the analysis cache keys
+#: its per-module LIN findings on this.
+LINT_VERSION = 1
+
+LIN100 = register(
+    "LIN100", "module does not parse", Severity.ERROR, "code",
+    "A module is not valid UTF-8 or not valid Python, so no rule and "
+    "no engine can look at it; the rest of the tree is still analyzed.",
+)
 LIN101 = register(
     "LIN101", "tree mutator must bump revision stamps", Severity.ERROR,
     "code",
@@ -140,14 +154,6 @@ _PERSISTENCE_FILES = ("player/localstorage.py", "certs/store.py",
 _DURABLE_LAYER_FILES = ("resilience/durable.py", "resilience/crashfs.py")
 _WRITE_MODE_CHARS = ("w", "a", "x", "+")
 
-# LIN107: builtin exception types (anything importable without an
-# import is "builtin"); NotImplementedError is the protocol-stub idiom
-# and deliberately exempt.
-_BUILTIN_EXCEPTIONS = frozenset(
-    name for name, obj in vars(_builtins).items()
-    if isinstance(obj, type) and issubclass(obj, BaseException)
-) - {"NotImplementedError"}
-
 
 def _name_hint(node: ast.expr) -> str:
     """The identifier a comparison operand 'is about'."""
@@ -172,35 +178,45 @@ def _is_secret_hint(node: ast.expr) -> bool:
     return bool(tokens & _SECRET_TOKENS) and not (tokens & _BENIGN_TOKENS)
 
 
-def _mentions_hmac(node: ast.AST) -> bool:
-    for child in ast.walk(node):
-        if isinstance(child, (ast.Name, ast.Attribute, ast.FunctionDef)):
-            hint = getattr(child, "id", None) or \
-                getattr(child, "attr", None) or \
-                getattr(child, "name", "")
-            if "hmac" in hint.lower():
-                return True
-    return False
+def _is_self_state(node: ast.expr) -> bool:
+    """``self.children`` / ``self.attrs[i]`` / ``self._data`` ..."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and node.attr in _TREE_STATE)
 
 
-def _dotted(node: ast.expr) -> str:
-    parts: list[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-    return ".".join(reversed(parts))
+@dataclass
+class _Method:
+    """LIN101 state of one class-body method."""
+
+    qualname: str
+    first_mutation: int = 0  # line; 0 = no tree-state mutation
+    calls_mark: bool = False
 
 
-class _FileLint:
-    """All code rules over one parsed module."""
+@dataclass
+class _Function:
+    """LIN102 state of one ``def``."""
 
-    def __init__(self, path: str, tree: ast.Module):
+    node: ast.FunctionDef
+    mentions_hmac: bool = False
+    stores: list = field(default_factory=list)  # (line, cache/memo name)
+
+
+def lint_module(tree: ast.Module, path: str) -> list:
+    """Every LIN rule over one parsed module, in one traversal."""
+    return _ModuleLint(path).run(tree)
+
+
+class _ModuleLint:
+    """One traversal of one module; each node type goes to its rules."""
+
+    def __init__(self, path: str):
         self.path = path
-        self.tree = tree
-        self.findings = []
+        self.findings: list = []
         normalized = path.replace(os.sep, "/")
         self.in_primitives = "/primitives/" in normalized
         self.in_resilience = ("/resilience/" in normalized
@@ -225,87 +241,156 @@ class _FileLint:
                 and not normalized.endswith(_DURABLE_LAYER_FILES))
         )
         # LIN101 applies to modules that define the revision protocol
-        # (the tree model and anything shaped like it).
-        self.defines_mark_mutated = any(
-            isinstance(n, ast.FunctionDef) and n.name == "mark_mutated"
-            for n in ast.walk(tree)
-        )
+        # (the tree model and anything shaped like it); that is only
+        # known once the whole module has been seen.
+        self.defines_mark_mutated = False
+        self.methods: list[_Method] = []        # finished (LIN101)
+        self._open_methods: list[_Method] = []
+        self._open_functions: list[_Function] = []
+        self._protected = 0  # depth of try bodies that have handlers
+        self._visitors = {
+            ast.ClassDef: self._class, ast.FunctionDef: self._function,
+            ast.Try: self._try, ast.Name: self._name,
+            ast.Attribute: self._attribute, ast.Call: self._call,
+            ast.Assign: self._assign, ast.AugAssign: self._assign,
+            ast.Compare: self._compare, ast.Raise: self._raise,
+            ast.Import: self._import, ast.ImportFrom: self._import,
+        }
 
-    def run(self) -> list:
-        self._lint_imports()
-        self._lint_typed_raises()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef):
-                        self._lint_mutator(node, item)
-            if isinstance(node, ast.FunctionDef):
-                self._lint_hmac_memo(node)
-            if isinstance(node, ast.Compare):
-                self._lint_compare(node)
-            if isinstance(node, ast.Call):
-                self._lint_wall_clock(node)
-                self._lint_unguarded_parse(node)
-                self._lint_torn_write(node)
+    def run(self, tree: ast.Module) -> list:
+        self._children(tree)
+        if self.defines_mark_mutated:
+            for method in self.methods:
+                if method.first_mutation and not method.calls_mark:
+                    self.findings.append(LIN101.finding(
+                        self.path,
+                        f"{method.qualname} mutates tree state without "
+                        "calling mark_mutated()",
+                        line=method.first_mutation,
+                    ))
         return self.findings
 
-    # -- LIN101 ----------------------------------------------------------------
+    # -- traversal -------------------------------------------------------------
 
-    def _lint_mutator(self, cls: ast.ClassDef,
-                      func: ast.FunctionDef) -> None:
-        if not self.defines_mark_mutated:
-            return
-        if func.name in ("__init__", "mark_mutated"):
-            return
-        mutations = []
-        for node in ast.walk(func):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (node.targets
-                           if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    if self._is_self_state(target):
-                        mutations.append(node)
-            elif isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute) and \
-                    node.func.attr in _MUTATING_METHODS and \
-                    self._is_self_state(node.func.value):
-                mutations.append(node)
-        if not mutations:
-            return
-        calls_mark = any(
-            isinstance(n, ast.Call)
-            and isinstance(n.func, ast.Attribute)
-            and n.func.attr == "mark_mutated"
-            for n in ast.walk(func)
-        )
-        if not calls_mark:
-            self.findings.append(LIN101.finding(
-                self.path,
-                f"{cls.name}.{func.name} mutates tree state without "
-                "calling mark_mutated()",
-                line=mutations[0].lineno,
-            ))
+    def _visit(self, node: ast.AST) -> None:
+        visitor = self._visitors.get(type(node))
+        if visitor is None:
+            self._children(node)
+        else:
+            visitor(node)
 
-    @staticmethod
-    def _is_self_state(node: ast.expr) -> bool:
-        """``self.children`` / ``self.attrs[i]`` / ``self._data`` ..."""
-        if isinstance(node, ast.Subscript):
-            node = node.value
-        return (isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and node.attr in _TREE_STATE)
+    def _children(self, node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            self._visit(child)
+
+    def _visit_all(self, nodes: list) -> None:
+        for node in nodes:
+            self._visit(node)
+
+    # -- scopes (LIN101, LIN102, LIN107) ---------------------------------------
+
+    def _class(self, node: ast.ClassDef) -> None:
+        self._visit_all(node.decorator_list + node.bases + node.keywords)
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and \
+                    item.name not in ("__init__", "mark_mutated"):
+                method = _Method(f"{node.name}.{item.name}")
+                self._open_methods.append(method)
+                self._function(item)
+                self._open_methods.pop()
+                self.methods.append(method)
+            else:
+                self._visit(item)
+
+    def _function(self, node: ast.FunctionDef) -> None:
+        if node.name == "mark_mutated":
+            self.defines_mark_mutated = True
+        function = _Function(node)
+        self._open_functions.append(function)
+        self._mention(node.name)
+        self._children(node)
+        self._open_functions.pop()
+        if function.mentions_hmac:
+            self._lint_hmac_memo(function)
+
+    def _try(self, node: ast.Try) -> None:
+        # Raises lexically inside a try that has except handlers are
+        # treated as converted-on-the-spot (the timing-parser idiom:
+        # raise ValueError in a helper, catch and re-raise typed).
+        converts = bool(node.handlers)
+        self._protected += converts
+        self._visit_all(node.body + node.orelse)
+        self._protected -= converts
+        self._visit_all(node.handlers + node.finalbody)
+
+    def _mention(self, identifier: str) -> None:
+        if self._open_functions and "hmac" in identifier.lower():
+            for function in self._open_functions:
+                function.mentions_hmac = True
+
+    def _mutation(self, line: int) -> None:
+        for method in self._open_methods:
+            if not method.first_mutation:
+                method.first_mutation = line
+
+    # -- node visitors ---------------------------------------------------------
+
+    def _name(self, node: ast.Name) -> None:
+        self._mention(node.id)
+
+    def _attribute(self, node: ast.Attribute) -> None:
+        self._mention(node.attr)
+        self._visit(node.value)
+
+    def _assign(self, node: ast.Assign | ast.AugAssign) -> None:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target])
+        if self._open_methods and any(map(_is_self_state, targets)):
+            self._mutation(node.lineno)
+        if self._open_functions and isinstance(node, ast.Assign):
+            for target in targets:
+                if isinstance(target, ast.Subscript):
+                    store = dotted_name(target.value)
+                    if "cache" in store.lower() or "memo" in store.lower():
+                        for function in self._open_functions:
+                            function.stores.append((node.lineno, store))
+        self._children(node)
+
+    def _call(self, node: ast.Call) -> None:
+        func = node.func
+        if self._open_methods and isinstance(func, ast.Attribute):
+            if func.attr == "mark_mutated":
+                for method in self._open_methods:
+                    method.calls_mark = True
+            elif func.attr in _MUTATING_METHODS and \
+                    _is_self_state(func.value):
+                self._mutation(node.lineno)
+        if self.in_resilience:
+            self._lint_wall_clock(node)
+        if self.in_untrusted_input:
+            self._lint_unguarded_parse(node)
+        if self.in_persistence:
+            self._lint_torn_write(node)
+        self._children(node)
+
+    def _compare(self, node: ast.Compare) -> None:
+        if self.in_crypto_path:
+            self._lint_compare(node)
+        self._children(node)
+
+    def _raise(self, node: ast.Raise) -> None:
+        if self.in_typed_raise_scope and not self._protected:
+            self._lint_typed_raise(node)
+        self._children(node)
 
     # -- LIN102 ----------------------------------------------------------------
 
-    def _lint_hmac_memo(self, func: ast.FunctionDef) -> None:
-        if not _mentions_hmac(func):
-            return
+    def _lint_hmac_memo(self, function: _Function) -> None:
+        func = function.node
         for decorator in func.decorator_list:
-            name = _dotted(decorator.func
-                           if isinstance(decorator, ast.Call)
-                           else decorator)
+            name = dotted_name(decorator.func
+                               if isinstance(decorator, ast.Call)
+                               else decorator)
             if name.rsplit(".", 1)[-1] in ("lru_cache", "cache"):
                 self.findings.append(LIN102.finding(
                     self.path,
@@ -313,24 +398,16 @@ class _FileLint:
                     f"in {name}",
                     line=func.lineno,
                 ))
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Subscript):
-                        store = _dotted(target.value).lower()
-                        if "cache" in store or "memo" in store:
-                            self.findings.append(LIN102.finding(
-                                self.path,
-                                f"{func.name} stores an HMAC-derived "
-                                f"value into {_dotted(target.value)}",
-                                line=node.lineno,
-                            ))
+        for line, store in function.stores:
+            self.findings.append(LIN102.finding(
+                self.path,
+                f"{func.name} stores an HMAC-derived value into {store}",
+                line=line,
+            ))
 
     # -- LIN103 ----------------------------------------------------------------
 
     def _lint_compare(self, node: ast.Compare) -> None:
-        if not self.in_crypto_path:
-            return
         if len(node.ops) != 1 or \
                 not isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
             return
@@ -352,9 +429,7 @@ class _FileLint:
     # -- LIN104 ----------------------------------------------------------------
 
     def _lint_wall_clock(self, node: ast.Call) -> None:
-        if not self.in_resilience:
-            return
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if "." not in dotted:
             return
         base, _, attr = dotted.rpartition(".")
@@ -365,12 +440,32 @@ class _FileLint:
                 line=node.lineno,
             ))
 
+    # -- LIN105 ----------------------------------------------------------------
+
+    def _import(self, node: ast.Import | ast.ImportFrom) -> None:
+        if self.in_primitives:
+            return
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif node.module == "repro.primitives":
+            modules = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            modules = [node.module or ""]
+        for module in modules:
+            parts = module.split(".")
+            if parts[:2] == ["repro", "primitives"] and len(parts) > 2 \
+                    and parts[2] in _RAW_PRIMITIVES:
+                self.findings.append(LIN105.finding(
+                    self.path,
+                    f"imports raw primitive {module}; route through "
+                    "primitives.provider",
+                    line=node.lineno,
+                ))
+
     # -- LIN106 ----------------------------------------------------------------
 
     def _lint_unguarded_parse(self, node: ast.Call) -> None:
-        if not self.in_untrusted_input:
-            return
-        name = _dotted(node.func).rsplit(".", 1)[-1]
+        name = _name_hint(node.func)
         if name not in _PARSE_ENTRY_POINTS:
             return
         if any(kw.arg == "guard" for kw in node.keywords):
@@ -382,11 +477,24 @@ class _FileLint:
             line=node.lineno,
         ))
 
+    # -- LIN107 ----------------------------------------------------------------
+
+    def _lint_typed_raise(self, node: ast.Raise) -> None:
+        if node.exc is None:
+            return  # bare re-raise keeps the active (typed) error
+        name = _name_hint(node.exc)
+        # NotImplementedError is the protocol-stub idiom.
+        if name in BUILTIN_EXCEPTIONS and name != "NotImplementedError":
+            self.findings.append(LIN107.finding(
+                self.path,
+                f"raises builtin {name} on an untrusted-input "
+                "path; raise a typed error from repro.errors",
+                line=node.lineno,
+            ))
+
     # -- LIN108 ----------------------------------------------------------------
 
     def _lint_torn_write(self, node: ast.Call) -> None:
-        if not self.in_persistence:
-            return
         if not (isinstance(node.func, ast.Name)
                 and node.func.id == "open"):
             return
@@ -407,105 +515,3 @@ class _FileLint:
                 "repro.resilience.durable.atomic_write",
                 line=node.lineno,
             ))
-
-    # -- LIN107 ----------------------------------------------------------------
-
-    def _lint_typed_raises(self) -> None:
-        if not self.in_typed_raise_scope:
-            return
-        # Raises lexically inside a try that has except handlers are
-        # treated as converted-on-the-spot (the timing-parser idiom:
-        # raise ValueError in a helper, catch and re-raise typed).
-        handled: set[int] = set()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Try) and node.handlers:
-                for stmt in node.body + node.orelse:
-                    for sub in ast.walk(stmt):
-                        if isinstance(sub, ast.Raise):
-                            handled.add(id(sub))
-        for node in ast.walk(self.tree):
-            if not isinstance(node, ast.Raise) or id(node) in handled:
-                continue
-            exc = node.exc
-            if exc is None:
-                continue  # bare re-raise keeps the active (typed) error
-            if isinstance(exc, ast.Call):
-                exc = exc.func
-            name = _dotted(exc).rsplit(".", 1)[-1]
-            if name in _BUILTIN_EXCEPTIONS:
-                self.findings.append(LIN107.finding(
-                    self.path,
-                    f"raises builtin {name} on an untrusted-input "
-                    "path; raise a typed error from repro.errors",
-                    line=node.lineno,
-                ))
-
-    # -- LIN105 ----------------------------------------------------------------
-
-    def _lint_imports(self) -> None:
-        if self.in_primitives:
-            return
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                parts = node.module.split(".")
-                if parts[:2] == ["repro", "primitives"]:
-                    if len(parts) > 2 and parts[2] in _RAW_PRIMITIVES:
-                        self._raw_import(node, node.module)
-                    elif len(parts) == 2:
-                        for alias in node.names:
-                            if alias.name in _RAW_PRIMITIVES:
-                                self._raw_import(
-                                    node,
-                                    f"repro.primitives.{alias.name}",
-                                )
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    parts = alias.name.split(".")
-                    if parts[:2] == ["repro", "primitives"] and \
-                            len(parts) > 2 and \
-                            parts[2] in _RAW_PRIMITIVES:
-                        self._raw_import(node, alias.name)
-
-    def _raw_import(self, node: ast.AST, module: str) -> None:
-        self.findings.append(LIN105.finding(
-            self.path,
-            f"imports raw primitive {module}; route through "
-            "primitives.provider",
-            line=node.lineno,
-        ))
-
-
-def lint_source(source: str, path: str = "<string>") -> list:
-    """Lint one source string; returns findings (for tests/snippets)."""
-    tree = ast.parse(source, filename=path)
-    return _FileLint(path, tree).run()
-
-
-def lint_paths(paths) -> AnalysisResult:
-    """Lint files and directory trees of ``.py`` files."""
-    result = AnalysisResult()
-    for target in _iter_py_files(paths):
-        target = display_path(target)
-        with open(target, "rb") as handle:
-            source = handle.read().decode("utf-8")
-        try:
-            findings = lint_source(source, target)
-        except SyntaxError as exc:
-            findings = [LIN101.finding(
-                target, f"file does not parse: {exc}", line=exc.lineno or 0,
-            )]
-        result.findings.extend(findings)
-        result.scanned += 1
-    return result
-
-
-def _iter_py_files(paths):
-    for path in paths:
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames.sort()
-                for filename in sorted(filenames):
-                    if filename.endswith(".py"):
-                        yield os.path.join(dirpath, filename)
-        else:
-            yield path

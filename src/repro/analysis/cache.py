@@ -2,36 +2,37 @@
 
 Two cache levels, one JSON file:
 
-* **module level** — the extracted IR of every module, keyed by the
-  SHA-256 of its source bytes.  An edited file misses; everything else
-  skips ``ast`` parsing and IR lowering on the next run.
+* **module level** — the extracted IR and the LIN1xx findings of every
+  module, keyed by the SHA-256 of its source bytes.  An edited file
+  misses; everything else skips ``ast`` parsing, IR lowering and
+  linting on the next run.
 * **run level** — the full findings list, keyed by a digest over the
   sorted ``(path, hash)`` set plus the version key.  A completely
   unchanged tree returns memoized findings without running any engine
   at all — this is what makes the warm CI/pre-commit path near-free.
 
 The file is an implementation detail (gitignored); deleting it only
-costs one cold run.  The version key is the callgraph ``IR_VERSION``
-plus the ``SPEC_VERSION`` of every engine's spec, so a bump to any of
-them discards the whole file at load time.
+costs one cold run.  The version key is the callgraph ``IR_VERSION``,
+the linter's ``LINT_VERSION`` and the ``SPEC_VERSION`` of every
+engine's spec, so a bump to any of them discards the whole file at
+load time.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
-from repro.analysis import callgraph, concspec, lifespec, taintspec
-from repro.analysis.findings import AnalysisResult, Finding, Severity
+from repro.analysis import astlint, callgraph, concspec, lifespec, taintspec
+from repro.analysis.findings import AnalysisResult, Finding
 
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 DEFAULT_CACHE_PATH = ".analysis-cache.json"
 _MAX_RUNS = 8  # keep the file bounded across branch switches
 
 
 def content_hash(data: bytes) -> str:
-    import hashlib
-
     return hashlib.sha256(data).hexdigest()
 
 
@@ -39,6 +40,7 @@ def version_key() -> list:
     """What a cached IR or findings list was computed under."""
     return [
         callgraph.IR_VERSION,
+        astlint.LINT_VERSION,
         taintspec.SPEC_VERSION,
         concspec.SPEC_VERSION,
         lifespec.SPEC_VERSION,
@@ -88,16 +90,22 @@ class AnalysisCache:
 
     # -- module level ---------------------------------------------------------
 
-    def module_info(self, path: str, digest: str) -> dict | None:
+    def module(self, path: str, digest: str) -> tuple | None:
+        """``(IR or None, LIN findings)`` stored for this exact source."""
         entry = self._modules.get(path)
         if entry is not None and entry.get("hash") == digest:
             self.hits += 1
-            return entry["info"]
+            return entry["info"], [Finding.from_dict(f) for f in entry["lint"]]
         self.misses += 1
         return None
 
-    def store_module(self, path: str, digest: str, info: dict) -> None:
-        self._modules[path] = {"hash": digest, "info": info}
+    def store_module(self, path: str, digest: str, module: tuple) -> None:
+        info, lint = module
+        self._modules[path] = {
+            "hash": digest,
+            "info": info,
+            "lint": [f.to_dict() for f in lint],
+        }
 
     # -- run level ------------------------------------------------------------
 
@@ -113,17 +121,7 @@ class AnalysisCache:
         self.hits += len(entries)
         result = AnalysisResult()
         result.scanned = entry["scanned"]
-        result.findings = [
-            Finding(
-                rule_id=item["rule_id"],
-                severity=Severity[item["severity"]],
-                location=item["location"],
-                message=item["message"],
-                line=item["line"],
-                detail=item["detail"],
-            )
-            for item in entry["findings"]
-        ]
+        result.findings = [Finding.from_dict(f) for f in entry["findings"]]
         return result
 
     def store_run(self, entries, result: AnalysisResult) -> None:
@@ -131,15 +129,5 @@ class AnalysisCache:
         self._runs[self._run_key(entries)] = {
             "scanned": result.scanned,
             "stamp": max(stamps, default=0) + 1,
-            "findings": [
-                {
-                    "rule_id": f.rule_id,
-                    "severity": f.severity.name,
-                    "location": f.location,
-                    "message": f.message,
-                    "line": f.line,
-                    "detail": f.detail,
-                }
-                for f in result.findings
-            ],
+            "findings": [f.to_dict() for f in result.findings],
         }

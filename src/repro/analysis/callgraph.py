@@ -57,7 +57,9 @@ spawn edges) are invisible to both taint and concurrency.
 from __future__ import annotations
 
 import ast
+import builtins
 import os
+from collections import deque
 
 IR_VERSION = 4
 
@@ -66,13 +68,13 @@ SPAWN_CALL_NAMES = frozenset({
     "create_task", "ensure_future", "gather", "start_soon",
 })
 
-_BUILTIN_EXCEPTIONS = {
-    "ArithmeticError", "AssertionError", "AttributeError", "BaseException",
-    "BufferError", "EOFError", "Exception", "IOError", "IndexError",
-    "KeyError", "LookupError", "MemoryError", "OSError", "OverflowError",
-    "RecursionError", "RuntimeError", "StopIteration", "SystemError",
-    "TypeError", "UnicodeDecodeError", "ValueError", "ZeroDivisionError",
-}
+_BLOCK_NODES = (ast.stmt, ast.excepthandler, ast.match_case)
+
+#: Exception classes reachable without an import.
+BUILTIN_EXCEPTIONS = frozenset(
+    name for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException)
+)
 
 
 def module_name_for_path(path: str) -> str:
@@ -198,21 +200,34 @@ def _target_names(node: ast.expr) -> list[str]:
     return []
 
 
+def _statements(node: ast.AST):
+    """*node* and the statements under it, in ``ast.walk`` order; no
+    statement sits inside an expression, so those are not entered."""
+    todo = deque([node])
+    while todo:
+        current = todo.popleft()
+        todo.extend(child for child in ast.iter_child_nodes(current)
+                    if isinstance(child, _BLOCK_NODES))
+        yield current
+
+
+def _own_nodes(roots: list):
+    """Nodes under *roots* that belong to the same function: nested
+    defs and lambdas are yielded but not entered."""
+    stack = list(roots)
+    while stack:
+        current = stack.pop()
+        yield current
+        if not isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(current))
+
+
 def _awaits_in(node: ast.AST | None) -> bool:
     """Does *node* itself await?  Nested defs are separate functions
     (extracted on their own) and do not count."""
-    if node is None:
-        return False
-    stack: list[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ast.Await):
-            return True
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(current))
-    return False
+    return node is not None and any(
+        isinstance(child, ast.Await) for child in _own_nodes([node]))
 
 
 def _collect_spawns(node: ast.AST | None, out: list,
@@ -237,16 +252,8 @@ def _collect_spawns(node: ast.AST | None, out: list,
 
 def _reraises(body: list[ast.stmt]) -> bool:
     """Does the handler body re-raise via a bare ``raise``?"""
-    stack: list[ast.AST] = list(body)
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ast.Raise) and current.exc is None:
-            return True
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(current))
-    return False
+    return any(isinstance(node, ast.Raise) and node.exc is None
+               for node in _own_nodes(body))
 
 
 def _stmt_header(node: ast.stmt) -> tuple[list, list]:
@@ -428,7 +435,7 @@ class _OpLowerer:
     @staticmethod
     def _handler_names(node: ast.expr | None) -> set[str]:
         if node is None:
-            return set(_BUILTIN_EXCEPTIONS)  # bare except catches all
+            return set(BUILTIN_EXCEPTIONS)  # bare except catches all
         names = set()
         for part in (node.elts if isinstance(node, ast.Tuple) else [node]):
             dotted = dotted_name(part)
@@ -495,7 +502,7 @@ def _function_ir(func: ast.FunctionDef | ast.AsyncFunctionDef,
     qname = (f"{module}:{cls}.{func.name}" if cls
              else f"{module}:{func.name}")
     declared_global = sorted({
-        name for node in ast.walk(func)
+        name for node in _statements(func)
         if isinstance(node, ast.Global) for name in node.names
     })
     return {
@@ -558,9 +565,8 @@ def _field_types(node: ast.ClassDef) -> list:
     return out
 
 
-def extract_module(source: str, path: str) -> dict:
-    """Parse one module into its cacheable program-model entry."""
-    tree = ast.parse(source, filename=path)
+def extract_module(tree: ast.Module, path: str) -> dict:
+    """Lower one parsed module into its cacheable program-model entry."""
     module = module_name_for_path(path)
     imports: dict[str, str] = {}
     functions: list[dict] = []
@@ -568,7 +574,7 @@ def extract_module(source: str, path: str) -> dict:
 
     # Imports anywhere in the file (function-local ones included —
     # scoping is flattened, which only ever *adds* resolvable names).
-    for node in ast.walk(tree):
+    for node in _statements(tree):
         if isinstance(node, ast.ImportFrom) and node.module and \
                 node.level == 0:
             for alias in node.names:
@@ -632,7 +638,7 @@ def extract_module(source: str, path: str) -> dict:
 def _extract_nested(func, module: str, cls: str | None,
                     out: list[dict]) -> None:
     """Nested defs become standalone functions (closures are opaque)."""
-    for node in ast.walk(func):
+    for node in _statements(func):
         if node is func:
             continue
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -750,11 +756,6 @@ class Program:
         if info is not None and name in info["methods"]:
             return f"{module}:{cls}.{name}"
         return None
-
-    def unique_method(self, name: str) -> str | None:
-        """The only definition of *name* across the program, if unique."""
-        qnames = self.methods_by_name.get(name, [])
-        return qnames[0] if len(qnames) == 1 else None
 
     def resolve_callee(self, module: str, dotted: str,
                        var_types: dict[str, tuple],

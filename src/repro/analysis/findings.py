@@ -81,6 +81,13 @@ class Finding:
             "fingerprint": self.fingerprint,
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "Finding":
+        """Inverse of :meth:`to_dict` (the fingerprint is derived)."""
+        fields = ("rule_id", "location", "message", "line", "detail")
+        return cls(severity=Severity[data["severity"]],
+                   **{name: data[name] for name in fields})
+
     def render(self) -> str:
         where = self.location
         if self.line:
@@ -102,9 +109,6 @@ class AnalysisResult:
     suppressed: list[Finding] = field(default_factory=list)
     coverage: list[dict] = field(default_factory=list)
     scanned: int = 0
-
-    def extend(self, findings) -> None:
-        self.findings.extend(findings)
 
     def worst(self) -> Severity | None:
         return max((f.severity for f in self.findings), default=None)

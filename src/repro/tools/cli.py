@@ -17,10 +17,10 @@ Commands:
   and dump the perf counters, timers and cache hit ratios.
 * ``audit``     — static security audit of signed/encrypted artifacts
   (documents, disc images, directories) without key material.
-* ``lint``      — AST-based invariant linter over the repo's own code.
-* ``analyze``   — interprocedural analysis over one call-graph IR:
-  taint flow (TNT2xx), concurrency safety (CON3xx) and async
-  lifecycle & exception flow (LIF4xx), with one incremental cache.
+* ``analyze``   — every rule over the repo's own code from one parse per
+  module: AST invariants (LIN1xx), taint flow (TNT2xx), concurrency
+  safety (CON3xx) and async lifecycle & exception flow (LIF4xx), with
+  one incremental cache.
 * ``chaos``     — seeded adversarial chaos harness: drive resource
   attacks (nesting/attribute/text/node floods, reference and decrypt
   bombs, hostile frames) through the real entry points and fail on
@@ -409,25 +409,12 @@ def cmd_audit(args) -> int:
     return _finish_analysis(result, args)
 
 
-def cmd_lint(args) -> int:
-    """Lint the codebase for invariant violations."""
-    from repro.analysis import catalog_lines, lint_paths
-
-    if args.rules:
-        for line in catalog_lines("code"):
-            print(line)
-        return 0
-    result = lint_paths(args.paths or ["src"])
-    return _finish_analysis(result, args)
-
-
 def cmd_analyze(args) -> int:
-    """Interprocedural taint, concurrency and lifecycle analysis."""
+    """Every codebase rule (LIN, TNT, CON, LIF) in one pass."""
     from repro.analysis import AnalysisCache, analyze_paths, catalog_lines
 
     if args.rules:
-        for line in catalog_lines("code"):
-            print(line)
+        print("\n".join(catalog_lines("code")))
         return 0
     cache = None if args.no_cache else AnalysisCache(args.cache)
     result = analyze_paths(args.paths or ["src"], cache=cache)
@@ -692,18 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser(
-        "lint",
-        help="AST-based invariant linter over the codebase",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files or directories (default: src)")
-    add_analysis_options(p)
-    p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser(
         "analyze",
-        help="interprocedural taint, concurrency and async-lifecycle "
-             "analysis (TNT2xx, CON3xx and LIF4xx rules)",
+        help="codebase invariants, taint, concurrency and async-lifecycle "
+             "analysis in one pass (LIN1xx, TNT2xx, CON3xx, LIF4xx rules)",
     )
     p.add_argument("paths", nargs="*",
                    help="files or directories (default: src)")

@@ -1,19 +1,26 @@
-"""One minimal violating snippet per AST rule, plus the clean-repo run."""
+"""One minimal violating snippet per LIN rule, run through the one
+analysis pipeline (the clean-repo gate lives in ``test_pipeline.py``)."""
 
-import json
 import os
 import textwrap
 
 import pytest
 
-from repro.analysis import Baseline, lint_paths, lint_source
+from repro.analysis import analyze_paths
+
+from tests.analysis.helpers import family_findings
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 
 def lint(snippet: str, path: str = "src/repro/dsig/example.py"):
-    return lint_source(textwrap.dedent(snippet), path)
+    return family_findings("LIN", {path: textwrap.dedent(snippet)})
+
+
+def lint_repo_module(relpath: str):
+    with open(os.path.join(REPO_ROOT, relpath), encoding="utf-8") as handle:
+        return family_findings("LIN", {relpath: handle.read()})
 
 
 def rule_ids(findings) -> set:
@@ -68,9 +75,7 @@ def test_lin101_ignores_modules_without_revision_protocol():
 
 
 def test_real_tree_module_passes_lin101():
-    tree = os.path.join(REPO_ROOT, "src", "repro", "xmlcore", "tree.py")
-    with open(tree, encoding="utf-8") as handle:
-        findings = lint_source(handle.read(), tree)
+    findings = lint_repo_module("src/repro/xmlcore/tree.py")
     assert [f for f in findings if f.rule_id == "LIN101"] == []
 
 
@@ -414,36 +419,16 @@ def test_lin108_skips_dynamic_modes():
 def test_real_persistence_modules_pass_lin108():
     for name in ("player/localstorage.py", "certs/store.py",
                  "xkms/server.py"):
-        module = os.path.join(REPO_ROOT, "src", "repro", *name.split("/"))
-        with open(module, encoding="utf-8") as handle:
-            findings = lint_source(handle.read(), module)
+        findings = lint_repo_module(f"src/repro/{name}")
         assert [f for f in findings if f.rule_id == "LIN108"] == [], name
 
 
-# -- clean-repo run ----------------------------------------------------------
-
-
-def test_repo_lints_clean_modulo_baseline():
-    """`repro lint src` on this repo: zero findings after the baseline."""
-    src = os.path.join(REPO_ROOT, "src")
-    baseline_path = os.path.join(REPO_ROOT, "analysis-baseline.json")
-    result = lint_paths([src])
-    kept = Baseline.load(baseline_path).apply(result)
-    assert kept.findings == [], [f.render() for f in kept.findings]
-    assert kept.scanned > 100
-
-
-def test_baseline_file_is_wellformed():
-    with open(os.path.join(REPO_ROOT, "analysis-baseline.json"),
-              encoding="utf-8") as handle:
-        payload = json.load(handle)
-    assert payload["version"] == 1
-    assert all("fingerprint" in entry for entry in payload["findings"])
+# -- unparseable modules ------------------------------------------------------
 
 
 def test_syntax_error_is_reported_not_raised(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def broken(:\n")
-    result = lint_paths([str(bad)])
-    assert len(result.findings) == 1
+    result = analyze_paths([str(bad)])
+    assert [f.rule_id for f in result.findings] == ["LIN100"]
     assert "does not parse" in result.findings[0].message

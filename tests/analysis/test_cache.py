@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.analysis import callgraph, concspec, lifespec, taintspec
+from repro.analysis import astlint, callgraph, concspec, lifespec, taintspec
 from repro.analysis.cache import AnalysisCache, content_hash
 from repro.analysis.pipeline import analyze_paths
 
@@ -109,14 +109,16 @@ def test_content_hash_is_stable():
 
 @pytest.mark.parametrize("module, name", [
     (callgraph, "IR_VERSION"),
+    (astlint, "LINT_VERSION"),
     (taintspec, "SPEC_VERSION"),
     (concspec, "SPEC_VERSION"),
     (lifespec, "SPEC_VERSION"),
-], ids=["ir", "taint-spec", "concurrency-spec", "lifecycle-spec"])
+], ids=["ir", "lint", "taint-spec", "concurrency-spec", "lifecycle-spec"])
 def test_version_bump_cold_starts_the_cache_once(tmp_path, monkeypatch,
                                                  module, name):
-    """A bump of the IR or of any one engine's spec discards the stale
-    file at load, and the very next run is warm again."""
+    """A bump of the IR, of the lint rules or of any one engine's spec
+    discards the stale file at load, and the very next run is warm
+    again."""
     pkg, _ = write_tree(tmp_path)
     cache_path = str(tmp_path / "cache.json")
     analyze_paths([pkg], cache=AnalysisCache(cache_path))

@@ -1,6 +1,7 @@
 """Program-model unit tests: module naming, IR extraction, call
 resolution (including package re-exports and function-local imports)."""
 
+import ast
 import textwrap
 
 from repro.analysis.callgraph import (
@@ -9,7 +10,7 @@ from repro.analysis.callgraph import (
 
 
 def module(source: str, path: str) -> dict:
-    return extract_module(textwrap.dedent(source), path)
+    return extract_module(ast.parse(textwrap.dedent(source)), path)
 
 
 def test_module_name_for_src_layout_paths():

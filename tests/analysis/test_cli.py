@@ -1,7 +1,9 @@
-"""The ``repro audit`` / ``lint`` / ``analyze`` command-line surface."""
+"""The ``repro audit`` / ``analyze`` command-line surface."""
 
 import json
 import os
+
+import pytest
 
 from repro.tools.cli import main
 
@@ -72,14 +74,7 @@ def test_audit_baseline_workflow(tmp_path, capsys):
                  fixture("dangling_reference.xml")]) == 1
 
 
-# -- lint --------------------------------------------------------------------
-
-
-def test_lint_repo_passes_with_committed_baseline(capsys):
-    src = os.path.join(REPO_ROOT, "src")
-    baseline = os.path.join(REPO_ROOT, "analysis-baseline.json")
-    assert main(["lint", src, "--baseline", baseline]) == 0
-    assert "no findings" in capsys.readouterr().out
+# -- analyze: LIN1xx invariants -----------------------------------------------
 
 
 def test_lint_flags_seeded_violation(tmp_path, capsys):
@@ -91,18 +86,25 @@ def test_lint_flags_seeded_violation(tmp_path, capsys):
         "    def drop(self, child):\n"
         "        self.children.remove(child)\n"
     )
-    assert main(["lint", str(bad)]) == 1
+    assert main(["analyze", str(bad), "--no-cache"]) == 1
     assert "LIN101" in capsys.readouterr().out
 
 
 def test_lint_rules_catalog(capsys):
-    assert main(["lint", "--rules"]) == 0
+    assert main(["analyze", "--rules"]) == 0
     out = capsys.readouterr().out
-    assert "LIN101" in out and "LIN105" in out
+    assert "LIN100" in out and "LIN101" in out and "LIN108" in out
     assert "SEC001" not in out
 
 
-# -- analyze (taint + concurrency + lifecycle) -------------------------------
+def test_lint_command_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", "src"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+# -- analyze: taint, concurrency, lifecycle -----------------------------------
 
 
 def test_analyze_repo_passes_with_committed_baseline(tmp_path, capsys):

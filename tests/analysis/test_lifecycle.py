@@ -301,19 +301,16 @@ def test_lif404_caller_without_deadline_is_not_demanded():
 def test_lif404_real_service_chain_is_proved_not_skipped():
     """The OverloadShield -> AsyncTrustService chain must be *inside*
     the proof (deadline-carrying, transitively waiting) and pass."""
-    from repro.analysis.callgraph import Program, extract_module
+    from repro.analysis.callgraph import Program
     from repro.analysis.findings import display_path
     from repro.analysis.lifecycle import LifecycleEngine
+    from repro.analysis.pipeline import iter_py_files, parse_module
 
     infos = []
-    for root, _dirs, files in os.walk(os.path.join(REPO_ROOT, "src")):
-        for name in sorted(files):
-            if not name.endswith(".py"):
-                continue
-            path = display_path(os.path.join(root, name))
-            with open(os.path.join(root, name),
-                      encoding="utf-8") as handle:
-                infos.append(extract_module(handle.read(), path))
+    for target in iter_py_files([os.path.join(REPO_ROOT, "src")]):
+        with open(target, "rb") as handle:
+            info, _ = parse_module(handle.read(), display_path(target))
+        infos.append(info)
     program = Program(infos)
     paths = {info["module"]: info["path"] for info in infos}
     engine = LifecycleEngine(program, paths)
